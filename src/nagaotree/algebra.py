@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import BadAction, NoIdentity, NoInverse, NotAssociative, NotSubgroup
+from .errors import NoIdentity, NoInverse, NotAssociative, NotSubgroup
 
 Table = tuple[tuple[int, ...], ...]
 
@@ -212,10 +212,6 @@ class GroupAction:
     def apply(self, h: int, u: int) -> int:
         return self.rows[h][u]
 
-    def is_trivial(self) -> bool:
-        ident = tuple(range(self.target.order))
-        return all(r == ident for r in self.rows.values())
-
     def to_json(self) -> dict:
         return {str(h): list(r) for h, r in sorted(self.rows.items())}
 
@@ -282,12 +278,6 @@ def validate_action(action: GroupAction) -> ActionReport:
                 violations.append({"rule": "composition", "h1": h1, "h2": h2})
                 break
     return ActionReport(valid=not violations, violations=violations)
-
-
-def require_valid_action(action: GroupAction) -> None:
-    rep = validate_action(action)
-    if not rep.valid:
-        raise BadAction(f"invalid action: {rep.violations[:3]}")
 
 
 # -- stock groups -------------------------------------------------------------

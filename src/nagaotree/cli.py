@@ -62,13 +62,18 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
         sys.stdout.write(text)
 
 
-def cmd_validate(cfg: RunConfig) -> int:
-    try:
-        d = load_datum(cfg.datum)
-    except (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(cfg, {"command": "validate", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+# what a malformed datum or map file raises
+INPUT_ERRORS = (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError)
+
+
+def _fail(cfg: RunConfig, command: str, exc: Exception, code: int) -> int:
+    """Emit the error report of a refused command and return its exit code."""
+    _emit(cfg, {"command": command, "ok": False,
+                "error": type(exc).__name__, "detail": str(exc)})
+    return code
+
+
+def cmd_validate(cfg: RunConfig, d: D.NagaoDatum) -> int:
     _emit(cfg, {
         "command": "validate",
         "ok": True,
@@ -80,13 +85,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_tree(cfg: RunConfig) -> int:
-    try:
-        d = load_datum(cfg.datum)
-    except (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(cfg, {"command": "tree", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+def cmd_tree(cfg: RunConfig, d: D.NagaoDatum) -> int:
     t = T.ball(d, T.base_vertex(), cfg.radius)
     if cfg.format == "dot":
         text = S.tree_to_dot(t) + "\n"
@@ -99,13 +98,7 @@ def cmd_tree(cfg: RunConfig) -> int:
     return EXIT_PASS
 
 
-def cmd_suite(cfg: RunConfig) -> int:
-    try:
-        d = load_datum(cfg.datum)
-    except (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(cfg, {"command": "suite", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+def cmd_suite(cfg: RunConfig, d: D.NagaoDatum) -> int:
     reports = SU.run_suites(d, cfg.radius, names=cfg.suites,
                             samples=cfg.samples, seed=cfg.seed,
                             level=cfg.level)
@@ -121,9 +114,8 @@ def cmd_suite(cfg: RunConfig) -> int:
     return EXIT_PASS if ok else EXIT_PROBE_FAILURE
 
 
-def cmd_extend(cfg: RunConfig) -> int:
+def cmd_extend(cfg: RunConfig, d: D.NagaoDatum) -> int:
     try:
-        d = load_datum(cfg.datum)
         with open(cfg.phi) as fh:
             obj = json.load(fh)
         pairs = {}
@@ -134,23 +126,17 @@ def cmd_extend(cfg: RunConfig) -> int:
             T.validate_address(d, vb)
             pairs[va] = vb
         phi = E.TreeMap.from_pairs(d, pairs)
-    except (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(cfg, {"command": "extend", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+    except INPUT_ERRORS as exc:
+        return _fail(cfg, "extend", exc, EXIT_INVALID_INPUT)
     try:
         ext, report = E.density_pipeline(d, phi, cfg.radius,
                                          n_samples=max(cfg.samples, 4),
                                          seed=cfg.seed,
                                          record_instances=True)
     except TruncationExceeded as exc:
-        _emit(cfg, {"command": "extend", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_TRUNCATION
+        return _fail(cfg, "extend", exc, EXIT_TRUNCATION)
     except NagaoError as exc:
-        _emit(cfg, {"command": "extend", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+        return _fail(cfg, "extend", exc, EXIT_INVALID_INPUT)
     _emit(cfg, {
         "command": "extend",
         "ok": report.passed,
@@ -163,13 +149,7 @@ def cmd_extend(cfg: RunConfig) -> int:
     return EXIT_PASS if report.passed else EXIT_PROBE_FAILURE
 
 
-def cmd_codist(cfg: RunConfig) -> int:
-    try:
-        d = load_datum(cfg.datum)
-    except (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        _emit(cfg, {"command": "codist", "ok": False,
-                    "error": type(exc).__name__, "detail": str(exc)})
-        return EXIT_INVALID_INPUT
+def cmd_codist(cfg: RunConfig, d: D.NagaoDatum) -> int:
     t = T.ball(d, T.base_vertex(), cfg.radius)
     table = TC.synthesize_codistance(t)
     rep = TC.verify_codist(table, t)
@@ -237,7 +217,11 @@ def main(argv=None) -> int:
         "extend": cmd_extend,
         "codist": cmd_codist,
     }[args.command]
-    return handler(cfg)
+    try:
+        d = load_datum(cfg.datum)
+    except INPUT_ERRORS as exc:
+        return _fail(cfg, args.command, exc, EXIT_INVALID_INPUT)
+    return handler(cfg, d)
 
 
 if __name__ == "__main__":

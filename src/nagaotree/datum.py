@@ -64,9 +64,6 @@ class LevelProfile:
                 return l
         return None
 
-    def vertex_type(self, level: int) -> int:
-        return level % 2
-
 
 class NagaoDatum:
     """Validated directly split datum with precomputed navigation tables."""
@@ -144,13 +141,6 @@ def _check_datum(gamma0, h0, prefix, period):
         rep = algebra.validate_action(rd.action)
         if not rep.valid:
             raise BadAction(f"schedule slot {j}: {rep.violations[:3]}")
-
-
-def validate_datum(gamma0: FiniteGroup, h0: SubgroupHandle,
-                   prefix: tuple[RootData, ...], period: tuple[RootData, ...],
-                   name: str = "") -> NagaoDatum:
-    """Validate all datum invariants and attach the derived level profile."""
-    return NagaoDatum(gamma0, h0, prefix, period, name=name)
 
 
 def _const_schedule(h0: SubgroupHandle, group: FiniteGroup) -> tuple[RootData, ...]:

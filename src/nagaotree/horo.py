@@ -50,18 +50,6 @@ class HoroballView:
         return [self.tree.verts[vid] for vid in self.vertex_ids]
 
 
-def _flood(t: TruncatedTree, start: int, keep) -> list[int]:
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u not in seen and keep(u):
-                seen.add(u)
-                stack.append(u)
-    return sorted(seen)
-
-
 def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
     """In-ball part of the horoball of x (level of x must be positive).
 
@@ -75,7 +63,7 @@ def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
     if hit is None:
         start = t.vid(x)
         lv = x[2]
-        ids = _flood(t, start, lambda u: t.level(u) >= lv)
+        ids = T.flood(t, start, lambda u: t.level(u) >= lv)
         hit = HoroballView(base=x, tree=t, vertex_ids=ids)
         cache[x] = hit
     return hit
@@ -131,7 +119,7 @@ def component(t: TruncatedTree, x: Vertex, i: int) -> Component:
     if x[2] > i:
         raise LevelTooHigh(f"level {x[2]} exceeds the component bound {i}")
     start = t.vid(x)
-    ids = _flood(t, start, lambda u: t.level(u) <= i)
+    ids = T.flood(t, start, lambda u: t.level(u) <= i)
     return Component(i=i, anchor=x, tree=t, vertex_ids=ids)
 
 
@@ -159,12 +147,6 @@ class ComponentGraph:
         if not self._ids:
             self._ids = {k: n for n, k in enumerate(self.node_keys())}
         return self._ids[key]
-
-    def component_of(self, v: Vertex) -> Component:
-        key = self.comp_of_vid.get(self.tree.vid(v))
-        if key is None:
-            raise NotInGraph(f"{v} has level > {self.i}")
-        return self.components[key]
 
     def witness(self, a: Vertex, b: Vertex) -> tuple[Vertex, Vertex]:
         wit = self.edge_witness.get((a, b))
@@ -219,7 +201,7 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
     for vid in range(t.n):
         if t.level(vid) != i or vid in seen_hb:
             continue
-        hb_ids = _flood(t, vid, lambda u: t.level(u) >= i)
+        hb_ids = T.flood(t, vid, lambda u: t.level(u) >= i)
         sphere = [u for u in hb_ids if t.level(u) == i]
         seen_hb.update(sphere)
         for a_pos in range(len(sphere)):

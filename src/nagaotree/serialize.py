@@ -18,15 +18,6 @@ def vertex_from_json(d: NagaoDatum, obj: dict):
     return (W.word_from_json(d, obj["word"]), int(obj["ray"]), int(obj["level"]))
 
 
-def gamma_to_json(g) -> dict:
-    g0, w = g
-    return {"g0": g0, "word": W.word_to_json(w)}
-
-
-def gamma_from_json(d: NagaoDatum, obj: dict):
-    return (int(obj["g0"]), W.word_from_json(d, obj["word"]))
-
-
 def vertex_label(v) -> str:
     """Compact human-readable address label for DOT output."""
     w, s, i = v

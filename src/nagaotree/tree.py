@@ -36,11 +36,6 @@ def level(v: Vertex) -> int:
     return v[2]
 
 
-def vertex_type(v: Vertex) -> int:
-    """Parity class of the vertex (levels and tree distance agree mod 2)."""
-    return v[2] % 2
-
-
 def address_key(v: Vertex):
     """Canonical total order on addresses: by level, ray, then word."""
     return (v[2], v[1], v[0])
@@ -132,7 +127,6 @@ class TruncatedTree:
     adj: list[list[int]]
 
     def __post_init__(self):
-        self._perm_cache: dict = {}
         self._graph_cache: dict = {}
 
     @property
@@ -159,19 +153,6 @@ class TruncatedTree:
 
     def degree(self, vid: int) -> int:
         return len(self.adj[vid])
-
-    def perm(self, g: Gamma) -> list[int]:
-        """The action of g on ball indices; -1 where the image escapes.
-
-        Exact escaped images are always available through `act`.
-        """
-        cached = self._perm_cache.get(g)
-        if cached is None:
-            d = self.datum
-            idx = self.index
-            cached = [idx.get(act(d, g, v), -1) for v in self.verts]
-            self._perm_cache[g] = cached
-        return cached
 
     def to_json(self) -> dict:
         from .serialize import vertex_to_json
@@ -281,17 +262,15 @@ class UniformPiece:
         return sum(1 for u in self.tree.adj[vid] if u in member)
 
 
-def component_ids(t: TruncatedTree, start_vid: int, level_bound: int) -> list[int]:
-    """Flood fill over vertices of level <= level_bound, sorted ids."""
-    if t.level(start_vid) > level_bound:
-        raise LevelTooHigh(
-            f"start vertex has level {t.level(start_vid)} > bound {level_bound}")
-    seen = {start_vid}
-    stack = [start_vid]
+def flood(t: TruncatedTree, start: int, keep) -> list[int]:
+    """Sorted ids of the in-ball component of `start` among the vertices
+    whose id satisfies `keep`."""
+    seen = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for u in t.adj[v]:
-            if u not in seen and t.level(u) <= level_bound:
+            if u not in seen and keep(u):
                 seen.add(u)
                 stack.append(u)
     return sorted(seen)
@@ -300,7 +279,10 @@ def component_ids(t: TruncatedTree, start_vid: int, level_bound: int) -> list[in
 def uniform_piece(d: NagaoDatum, i: int, radius: int) -> UniformPiece:
     """Y_i intersected with the standard ball, plus Delta_i generators."""
     t = ball(d, base_vertex(), radius)
-    ids = component_ids(t, t.vid(base_vertex()), i)
+    start = t.vid(base_vertex())
+    if t.level(start) > i:
+        raise LevelTooHigh(f"start vertex has level {t.level(start)} > bound {i}")
+    ids = flood(t, start, lambda u: t.level(u) <= i)
     gens = [W.generator(s, j, u)
             for s in range(1, d.k + 1)
             for j in range(1, i + 1)
@@ -332,150 +314,94 @@ class LevelReconstruction:
     levels: dict[Vertex, int]
 
 
-def _candidates(t: TruncatedTree, lmax: int) -> list[int]:
-    """Per-vertex admissible-label bitmasks (bit m = label m allowed)."""
-    prof = t.datum.profile
-    full = (1 << (lmax + 1)) - 1
-    cands = []
-    for vid in range(t.n):
-        if t.is_interior(vid):
-            deg = t.degree(vid)
-            mask = 0
-            for lv in range(lmax + 1):
-                if prof.degree(lv) == deg:
-                    mask |= 1 << lv
-            cands.append(mask)
-        else:
-            cands.append(full)
-    return cands
-
-
-def _propagate(t, cand: list[int], queue: list[int], full: int) -> bool:
-    """Arc consistency for the level axioms; False on contradiction.
-
-    Axioms: adjacent labels differ by exactly 1; an interior vertex labelled
-    m > 0 has exactly one neighbor labelled m + 1; labels are >= 0.
-    Candidate sets are bitmasks, so the edge rule is a pair of shifts.
-    """
-    adj = t.adj
-    pending = set(queue)
-    while pending:
-        vid = pending.pop()
-        cv = cand[vid]
-        if not cv:
-            return False
-        allowed = ((cv << 1) | (cv >> 1)) & full
-        for u in adj[vid]:
-            newc = cand[u] & allowed
-            if newc != cand[u]:
-                if not newc:
-                    return False
-                cand[u] = newc
-                pending.add(u)
-                pending.update(adj[u])
-        if cv & (cv - 1) == 0 and t.dist[vid] < t.radius:
-            m = cv.bit_length() - 1
-            if m > 0:
-                up_bit = 1 << (m + 1)
-                ups = [u for u in adj[vid] if cand[u] == up_bit]
-                can_up = [u for u in adj[vid] if cand[u] & up_bit]
-                if len(ups) > 1 or not can_up:
-                    return False
-                if len(ups) == 1:
-                    for u in adj[vid]:
-                        if u != ups[0] and cand[u] & up_bit:
-                            if cand[u] == up_bit:
-                                return False
-                            cand[u] &= ~up_bit
-                            pending.add(u)
-                            pending.update(adj[u])
-                elif len(can_up) == 1:
-                    u = can_up[0]
-                    if cand[u] != up_bit:
-                        cand[u] = up_bit
-                        pending.add(u)
-                        pending.update(adj[u])
-    return True
-
-
-def _solve(t, cand: list[int], full: int):
-    """One admissible labelling extending the candidate masks, or None."""
-    if not _propagate(t, cand, list(range(t.n)), full):
-        return None
-    pick = -1
-    best = 1 << 30
-    for vid in range(t.n):
-        c = cand[vid]
-        if c & (c - 1):
-            size = bin(c).count("1")
-            if size < best:
-                best, pick = size, vid
-    if pick < 0:
-        for vid in t.interior_ids():
-            m = cand[vid].bit_length() - 1
-            if m > 0:
-                up_bit = 1 << (m + 1)
-                if sum(1 for u in t.adj[vid] if cand[u] == up_bit) != 1:
-                    return None
-        return cand
-    c = cand[pick]
-    while c:
-        bit = c & -c
-        trial = cand.copy()
-        trial[pick] = bit
-        got = _solve(t, trial, full)
-        if got is not None:
-            return got
-        c &= c - 1
-    return None
-
-
 def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
     """Reconstruct levels from local degrees where they are forced.
 
-    A vertex is determined when exactly one label value admits an admissible
-    labelling of the whole ball.  For biregular data nothing is determined
-    and the result is flagged ambiguous: shifting any admissible labelling
-    up by two produces another one, so no label is forced.
+    A labelling gives every ball vertex a label in 0..2r+2 such that
+    adjacent labels differ by exactly 1, an interior vertex has the degree
+    `profile.degree` prescribes for its label, and an interior vertex with
+    label m > 0 has exactly one neighbor labelled m + 1.  A vertex is
+    determined when exactly one label admits a labelling of the whole ball.
+
+    The constraint graph is the ball itself, a tree, so the feasible labels
+    are found exactly without search (Freuder 1982, J. ACM 29(1)).  The
+    state of a vertex is its (label, parent label) pair along the BFS tree.
+    A bottom-up pass finds the states its subtree admits; a top-down
+    rerooting pass finds the states the rest of the ball admits.  The unique
+    ascent rule is a count over the children: with `forced` children that
+    must sit at m + 1 and `either` that may, a labelling exists iff
+    forced <= 1 - [parent at m + 1] <= forced + either.  Both passes cost
+    O(n * L) for n vertices and L = 2r + 3 labels.
+
+    For biregular data nothing is determined and the result is flagged
+    ambiguous: shifting any admissible labelling up by two produces another
+    one, so no label is forced.
     """
     if t.datum.profile.biregular:
         return LevelReconstruction(ambiguous=True, levels={})
-    lmax = 2 * t.radius + 2
-    full = (1 << (lmax + 1)) - 1
-    base = _candidates(t, lmax)
-    if not _propagate(t, base, list(range(t.n)), full):
+    prof = t.datum.profile
+    top = 2 * t.radius + 2
+    kids: list[list[int]] = [[] for _ in range(t.n)]
+    for vid in range(1, t.n):
+        kids[t.parent[vid]].append(vid)
+    allowed = [
+        [m for m in range(top + 1) if prof.degree(m) == t.degree(vid)]
+        if t.is_interior(vid) else range(top + 1)
+        for vid in range(t.n)
+    ]
+
+    def parent_labels(vid: int, m: int):
+        if vid == 0:
+            return (None,)
+        return [p for p in (m - 1, m + 1) if 0 <= p <= top]
+
+    # sub[v] / rest[v]: the (label, parent label) states of v that its
+    # subtree / everything outside its subtree admits
+    sub: list[set] = [set() for _ in range(t.n)]
+    rest: list[set] = [set() for _ in range(t.n)]
+
+    def kind(c: int, m: int) -> int:
+        """2*[child c fits at m+1] + [c fits at m-1], its parent at m."""
+        return 2 * ((m + 1, m) in sub[c]) + ((m - 1, m) in sub[c])
+
+    def tally(vid: int, m: int) -> list[int]:
+        count = [0, 0, 0, 0]
+        for c in kids[vid]:
+            count[kind(c, m)] += 1
+        return count
+
+    def fits(vid: int, m: int, ups: int, count: list[int]) -> bool:
+        """v at m with `ups` fixed neighbors at m+1 and `count` free children."""
+        if count[0]:
+            return False
+        if m == 0 or not t.is_interior(vid):
+            return True
+        return count[2] <= 1 - ups <= count[2] + count[3]
+
+    for vid in reversed(range(t.n)):
+        for m in allowed[vid]:
+            count = tally(vid, m)
+            sub[vid].update((m, p) for p in parent_labels(vid, m)
+                            if fits(vid, m, p == m + 1, count))
+    rest[0] = {(m, None) for m in range(top + 1)}
+    for vid in range(t.n):
+        for m in allowed[vid]:
+            above = [p for p in parent_labels(vid, m) if (m, p) in rest[vid]]
+            if not above:
+                continue
+            count = tally(vid, m)
+            for c in kids[vid]:
+                own = kind(c, m)
+                count[own] -= 1
+                for mc in (m - 1, m + 1):
+                    if 0 <= mc <= top and any(
+                            fits(vid, m, (p == m + 1) + (mc == m + 1), count)
+                            for p in above):
+                        rest[c].add((mc, m))
+                count[own] += 1
+    feasible = [{m for m, _ in sub[vid] & rest[vid]} for vid in range(t.n)]
+    if not feasible[0]:
         raise NotInTruncation("degree data admits no level labelling")
-    # every found labelling certifies all its vertex-value pairs as feasible
-    feasible: list[int] = [0] * t.n
-    first = _solve(t, base.copy(), full)
-    if first is None:
-        raise NotInTruncation("degree data admits no level labelling")
-    for vid in range(t.n):
-        feasible[vid] |= first[vid]
-    # a vertex is pinned once every alternative candidate value is proven
-    # infeasible; feasibility facts harvested later only widen value sets,
-    # so the verdict is taken after the whole sweep
-    exhausted = [False] * t.n
-    for vid in range(t.n):
-        if feasible[vid] & (feasible[vid] - 1):
-            continue
-        c = base[vid] & ~feasible[vid]
-        found_extra = False
-        while c:
-            bit = c & -c
-            trial = base.copy()
-            trial[vid] = bit
-            got = _solve(t, trial, full)
-            if got is not None:
-                for u in range(t.n):
-                    feasible[u] |= got[u]
-                found_extra = True
-                break
-            c &= c - 1
-        exhausted[vid] = not found_extra
-    levels: dict[Vertex, int] = {}
-    for vid in range(t.n):
-        fv = feasible[vid]
-        if exhausted[vid] and fv and fv & (fv - 1) == 0:
-            levels[t.verts[vid]] = fv.bit_length() - 1
+    levels = {t.verts[vid]: next(iter(f))
+              for vid, f in enumerate(feasible) if len(f) == 1}
     return LevelReconstruction(ambiguous=not levels, levels=levels)

@@ -116,10 +116,6 @@ def gamma_identity(d: NagaoDatum) -> Gamma:
     return (d.ident0, EMPTY)
 
 
-def gamma_of_word(d: NagaoDatum, w: Word) -> Gamma:
-    return (d.ident0, w)
-
-
 def gamma_mul(d: NagaoDatum, a: Gamma, b: Gamma) -> Gamma:
     """(g, w)(g', w') = (g g', conj(g'^-1, w) * w')."""
     g, w = a
@@ -133,11 +129,6 @@ def gamma_inv(d: NagaoDatum, a: Gamma) -> Gamma:
     g, w = a
     gi = d.gamma0.inv(g)
     return (gi, gamma0_conj(d, g, delta_inv(d, w)))
-
-
-def gamma_conj(d: NagaoDatum, a: Gamma, b: Gamma) -> Gamma:
-    """a * b * a^-1."""
-    return gamma_mul(d, gamma_mul(d, a, b), gamma_inv(d, a))
 
 
 def word_times_gamma_s(d: NagaoDatum, w: Word, s: int) -> Gamma:
@@ -183,15 +174,6 @@ def is_normal_form(d: NagaoDatum, w: Word) -> bool:
                 return False
             last_j = j
     return True
-
-
-def word_support(w: Word) -> int:
-    """Largest root position occurring in the word (0 for empty)."""
-    m = 0
-    for _, pay in w:
-        if pay:
-            m = max(m, pay[-1][0])
-    return m
 
 
 def word_to_json(w: Word) -> list:

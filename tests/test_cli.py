@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import serialize as S
@@ -36,11 +38,20 @@ def test_validate_rejects_small_index(tmp_path, capsys):
     assert "IndexTooSmall" in out
 
 
-def test_validate_malformed_json(tmp_path, capsys):
+@pytest.mark.parametrize("command", ["validate", "tree", "suite", "extend", "codist"])
+def test_malformed_datum_file_exit_2(command, tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json")
-    code, out = run(capsys, "validate", "--datum", str(p))
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"pairs": []}))
+    extra = ["--phi", str(phi)] if command == "extend" else []
+    code, out = run(capsys, command, "--datum", str(p), *extra)
     assert code == 2
+    payload = json.loads(out)
+    assert payload["command"] == command
+    assert payload["ok"] is False
+    assert payload["error"] == "JSONDecodeError"
+    assert payload["detail"]
 
 
 def test_validate_custom_datum_file(tmp_path, capsys):

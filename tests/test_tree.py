@@ -1,8 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 from conftest import ball_size_oracle
+from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import tree as T
 from nagaotree import words as W
@@ -237,17 +239,62 @@ def test_biregularity_dichotomy():
     assert not T.is_biregular(D.builtin("D3"))
 
 
-def test_level_reconstruction_d3(d3):
-    t = T.ball(d3, T.base_vertex(), 6)
+def _check_recovery(t, count, ambiguous=False):
+    """Pinned determined count; every determined level is the true level."""
     rec = T.level_from_degrees(t)
-    assert not rec.ambiguous
-    assert rec.levels  # nonempty
-    for v, lv in rec.levels.items():
-        assert lv == v[2]
-    determined = set(rec.levels)
-    for vid in range(t.n):
-        if t.dist[vid] <= t.radius - 3:
-            assert t.verts[vid] in determined
+    assert rec.ambiguous is ambiguous
+    assert len(rec.levels) == count
+    assert all(lv == v[2] for v, lv in rec.levels.items())
+    return rec
+
+
+@pytest.mark.parametrize("radius,count", [
+    (2, 4), (3, 16), (4, 16), (5, 85), (6, 85), (7, 388), (8, 388),
+    (9, 1963), (10, 1963),
+])
+def test_level_reconstruction_d3(d3, radius, count):
+    t = T.ball(d3, T.base_vertex(), radius)
+    rec = _check_recovery(t, count)
+    # every vertex within (r+1)//2 is determined; for r <= 7 that includes
+    # the r-3 core criterion 10 asks for, beyond r = 7 it does not
+    assert all(t.verts[vid] in rec.levels
+               for vid in range(t.n) if t.dist[vid] <= (radius + 1) // 2)
+
+
+@pytest.mark.parametrize("center,counts", [
+    (T.ray_vertex(1), (8, 39, 39)),
+    (T.ray_vertex(2), (23, 23, 94)),
+    (T.ray_vertex(3, 2), (0, 46, 46)),
+])
+def test_level_recovery_d3_off_base(d3, center, counts):
+    for radius, count in zip((3, 4, 5), counts):
+        _check_recovery(T.ball(d3, center, radius), count, ambiguous=not count)
+
+
+def _prefix_datum():
+    """Gamma0 = C3, trivial H0, root groups C3 then C2 forever."""
+    g0 = A.cyclic_group(3)
+    h0 = A.trivial_subgroup(g0)
+
+    def root(n):
+        grp = A.cyclic_group(n)
+        return D.RootData(group=grp, action=A.trivial_action(h0, grp))
+
+    return D.NagaoDatum(g0, h0, (root(3),), (root(2),), name="prefix")
+
+
+def test_level_recovery_prefix_schedule():
+    d = _prefix_datum()
+    assert not d.profile.biregular
+    for radius, count in zip((2, 3, 4, 5), (4, 4, 40, 58)):
+        _check_recovery(T.ball(d, T.base_vertex(), radius), count)
+
+
+def test_level_recovery_refuses_inconsistent_degrees(d3):
+    # a D3 ball read against another degree schedule has no labelling
+    t = dataclasses.replace(T.ball(d3, T.base_vertex(), 3), datum=_prefix_datum())
+    with pytest.raises(NotInTruncation, match="admits no level labelling"):
+        T.level_from_degrees(t)
 
 
 def test_level_reconstruction_ambiguous_for_biregular(d0):
