@@ -292,15 +292,8 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
         return cert
 
     # condition (a): horoball restrictions
-    level_i = [vid for vid in range(t.n) if t.level(vid) == i]
-    seen = set()
-    for vid in level_i:
-        if vid in seen:
-            continue
-        hb = H.horoball(t, t.verts[vid])
-        sphere = hb.horosphere_ids()
-        seen.update(sphere)
-        for x_vid in sphere:
+    for hb in H.horoballs(t, i):
+        for x_vid in hb.horosphere_ids():
             x = t.verts[x_vid]
             y = h.apply(x)
             if y is None:
@@ -794,38 +787,25 @@ class _TypeGreedy:
         raise CannotTransportInTruncation(f"{v} not in the transported image")
 
 
+def _depths_within(d: NagaoDatum, vertices: set[Vertex], v: Vertex) -> dict:
+    """Tree distances from v inside the vertex set, by BFS."""
+    return T.bfs_depths([v], lambda u: (w for w in T.neighbors(d, u)
+                                        if w in vertices))
+
+
 def _ball_center(d: NagaoDatum, vertices: set[Vertex]) -> tuple[Vertex, int]:
     """Center and radius of a vertex set that should be a ball B_s(z)."""
     ecc = {}
     for v in vertices:
-        # BFS inside the set
-        depth = {v: 0}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in T.neighbors(d, u):
-                    if w in vertices and w not in depth:
-                        depth[w] = depth[u] + 1
-                        nxt.append(w)
-            frontier = nxt
+        depth = _depths_within(d, vertices, v)
         if len(depth) != len(vertices):
             raise NotIsomorphism("vertex set is not connected")
         ecc[v] = max(depth.values())
     center = min(ecc, key=lambda v: (ecc[v], T.address_key(v)))
     s = ecc[center]
     # must be exactly the radius-s ball around the center
-    expect = {center}
-    frontier = [center]
-    for _ in range(s):
-        nxt = []
-        for u in frontier:
-            for w in T.neighbors(d, u):
-                if w not in expect:
-                    expect.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    if expect != vertices:
+    expect = T.bfs_depths([center], lambda u: T.neighbors(d, u), max_depth=s)
+    if expect.keys() != vertices:
         raise NotIsomorphism("domain is not a full ball around its center")
     return center, s
 
@@ -859,22 +839,10 @@ def extend_type_preserving(t: TruncatedTree, phi: TreeMap) -> TreeMap:
         u2 = min(T.neighbors(d, z2), key=T.address_key)
         phi = TreeMap(d, {**phi.pairs, u1: u2})
 
-    def dist_in(dom, a, b):
-        depth = {a: 0}
-        frontier = [a]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in T.neighbors(d, u):
-                    if w in dom and w not in depth:
-                        depth[w] = depth[u] + 1
-                        nxt.append(w)
-            frontier = nxt
-        return depth[b]
-
     # terminal vertex of the domain ball, canonically chosen
     dom = set(phi.pairs)
-    v1 = max(dom, key=lambda v: (dist_in(dom, z1, v), T.address_key(v)))
+    from_z1 = _depths_within(d, dom, z1)
+    v1 = max(dom, key=lambda v: (from_z1[v], T.address_key(v)))
     u1 = next(u for u in T.neighbors(d, v1) if u in dom)
     v2 = phi.pairs[v1]
     u2 = phi.pairs[u1]
@@ -907,20 +875,8 @@ def extend_type_preserving(t: TruncatedTree, phi: TreeMap) -> TreeMap:
         raise CannotTransportInTruncation(
             f"radius {t.radius} leaves no room to conjugate back")
     out = {}
-    # BFS distances from the domain center, inside the ball
-    from_z1 = {t.vid(z1): 0}
-    frontier = [t.vid(z1)]
-    while frontier:
-        nxt = []
-        for a_vid in frontier:
-            for b_vid in t.adj[a_vid]:
-                if b_vid not in from_z1:
-                    from_z1[b_vid] = from_z1[a_vid] + 1
-                    nxt.append(b_vid)
-        frontier = nxt
-    for vid, dz in from_z1.items():
-        if dz > m:
-            continue
+    # the ball vertices within distance m of the domain center
+    for vid in T.bfs_depths([t.vid(z1)], t.adj.__getitem__, max_depth=m):
         v = t.verts[vid]
         a = f1.apply(v)
         b = g.apply(a)

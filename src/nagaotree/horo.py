@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from . import tree as T
 from . import words as W
 from .datum import NagaoDatum
-from .errors import LevelTooHigh, LevelZeroBase, NotInGraph
+from .errors import LevelTooHigh, LevelZeroBase, NagaoError, NotInGraph
 from .tree import TruncatedTree, Vertex
 
 
@@ -67,6 +67,19 @@ def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
         hit = HoroballView(base=x, tree=t, vertex_ids=ids)
         cache[x] = hit
     return hit
+
+
+def horoballs(t: TruncatedTree, i: int) -> list[HoroballView]:
+    """The in-ball horoballs of the level-i vertices, one per horosphere,
+    ordered by the least vertex id on each horosphere."""
+    out = []
+    seen: set[int] = set()
+    for vid in range(t.n):
+        if t.level(vid) == i and vid not in seen:
+            hb = horoball(t, t.verts[vid])
+            seen.update(hb.horosphere_ids())
+            out.append(hb)
+    return out
 
 
 def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:
@@ -197,20 +210,17 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
                 comp_of_vid[u] = key
     edges: dict[Vertex, list[Vertex]] = {key: [] for key in components}
     witness: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
-    seen_hb = set()
-    for vid in range(t.n):
-        if t.level(vid) != i or vid in seen_hb:
-            continue
-        hb_ids = T.flood(t, vid, lambda u: t.level(u) >= i)
-        sphere = [u for u in hb_ids if t.level(u) == i]
-        seen_hb.update(sphere)
+    for hb in horoballs(t, i):
+        sphere = hb.horosphere_ids()
         for a_pos in range(len(sphere)):
             for b_pos in range(a_pos + 1, len(sphere)):
                 xa, xb = sphere[a_pos], sphere[b_pos]
                 ka, kb = comp_of_vid[xa], comp_of_vid[xb]
                 # distinct components, seen at most once: anything else would
                 # close a cycle in the tree
-                assert ka != kb and (ka, kb) not in witness
+                if ka == kb or (ka, kb) in witness:
+                    raise NagaoError(f"components {ka} and {kb} close a cycle "
+                                     f"through {t.verts[xa]} and {t.verts[xb]}")
                 witness[(ka, kb)] = (t.verts[xa], t.verts[xb])
                 witness[(kb, ka)] = (t.verts[xb], t.verts[xa])
                 edges[ka].append(kb)

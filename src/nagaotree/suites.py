@@ -128,8 +128,8 @@ def suite_transport(d: NagaoDatum, radius: int, levels=(1, 2),
     """Transporter calculation rules (see transport.verify_transport)."""
     rep = SuiteReport("transport")
     tr = TR.verify_transport(d, radius, levels=levels, samples=samples, seed=seed)
-    rep.checked = len(tr.checks)
-    rep.failures = [c.to_json() for c in tr.failures()]
+    rep.checked = tr.total
+    rep.failures = tr.failures
     rep.info["levels"] = list(levels)
     return rep
 
@@ -161,17 +161,8 @@ def suite_codist(d: NagaoDatum, radius: int) -> SuiteReport:
     rep.checked += ver.checked
     rep.failures.extend(ver.failures)
     # levels equal distance to the nearest level-0 vertex, recomputed by BFS
-    level0 = [vid for vid in range(t.n) if t.level(vid) == 0]
-    dist0 = {vid: 0 for vid in level0}
-    frontier = list(level0)
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for b in t.adj[a]:
-                if b not in dist0:
-                    dist0[b] = dist0[a] + 1
-                    nxt.append(b)
-        frontier = nxt
+    dist0 = T.bfs_depths([vid for vid in range(t.n) if t.level(vid) == 0],
+                         t.adj.__getitem__)
     # the in-ball BFS distance to level 0 equals the level exactly when the
     # whole descending path stays inside the ball
     for vid in range(t.n):

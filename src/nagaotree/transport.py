@@ -13,7 +13,6 @@ Three families, all exact group elements:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from . import horo as H
 from . import tree as T
@@ -21,48 +20,8 @@ from . import words as W
 from .datum import NagaoDatum
 from .errors import LevelMismatch, NotSameHorosphere
 from .horo import ComponentGraph
-from .tree import TruncatedTree, Vertex
+from .tree import Vertex
 from .words import Gamma, Word
-
-
-@dataclass(frozen=True)
-class Transporter:
-    """A transporter element together with what it moves where."""
-
-    kind: str  # "delta" | "gamma" | "tau"
-    value: Gamma
-    source: object
-    target: object
-
-    @property
-    def word(self) -> Word:
-        return self.value[1]
-
-
-def delta_transporter(d: NagaoDatum, x: Vertex, y: Vertex) -> Transporter:
-    w = delta_xy(d, x, y)
-    tp = Transporter(kind="delta", value=(d.ident0, w), source=x, target=y)
-    assert T.act(d, tp.value, x) == y
-    return tp
-
-
-def gamma_transporter(d: NagaoDatum, x: Vertex, y: Vertex) -> Transporter:
-    g = gamma_xy(d, x, y)
-    tp = Transporter(kind="gamma", value=g, source=x, target=y)
-    assert T.act(d, tp.value, x) == y
-    return tp
-
-
-def tau_transporter(d: NagaoDatum, g: ComponentGraph, a: Vertex,
-                    b: Vertex) -> Transporter:
-    w = tau_XY(d, g, a, b)
-    tp = Transporter(kind="tau", value=(d.ident0, w), source=a, target=b)
-    # the transporter carries the source component into the target one
-    dst = set(g.components[b].vertices())
-    for v in g.components[a].vertices():
-        img = T.act(d, tp.value, v)
-        assert img not in g.tree or img in dst
-    return tp
 
 
 def delta_xy(d: NagaoDatum, x: Vertex, y: Vertex) -> Word:
@@ -125,11 +84,7 @@ def tau_edge(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
 
 def tau_XY(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
     """Product of edge transporters along the unique geodesic from a to b."""
-    path = g.geodesic(a, b)
-    out = W.EMPTY
-    for u, v in zip(path, path[1:]):
-        out = W.delta_mul(d, tau_edge(d, g, u, v), out)
-    return out
+    return tau_along(d, g, g.geodesic(a, b))
 
 
 def tau_along(d: NagaoDatum, g: ComponentGraph, path: list[Vertex]) -> Word:
@@ -142,62 +97,88 @@ def tau_along(d: NagaoDatum, g: ComponentGraph, path: list[Vertex]) -> Word:
 
 # -- verification sweep -------------------------------------------------------
 
-@dataclass
-class RuleCheck:
-    rule: str
-    instance: str
-    passed: bool
-    witness: Optional[dict] = None
+def _pair(sep: str, p: str = "x", q: str = "y"):
+    return lambda i, a, b: (f"i={i} {a}{sep}{b}", {p: str(a), q: str(b)})
 
-    def to_json(self) -> dict:
-        out = {"rule": self.rule, "instance": self.instance, "pass": self.passed}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        return out
+
+def _triple(p: str, q: str, r: str):
+    return lambda i, a, b, c: (f"i={i} {a},{b},{c}",
+                               {p: str(a), q: str(b), r: str(c)})
+
+
+def _conjugated(p: str, q: str):
+    return lambda i, h, a, b: (f"i={i} h on {a},{b}",
+                               {"h": str(h), p: str(a), q: str(b)})
+
+
+# instance text and witness of a failed check, built from the level and the
+# instance parts the sweep hands to TransportReport.add
+_DESCRIBE = {
+    "delta-moves": _pair("->"),
+    "delta-inverse": _pair(","),
+    "delta-cocycle": _triple("x", "y", "z"),
+    "delta-equivariance": _conjugated("x", "y"),
+    "delta-equivariance-gamma0": lambda i, g0, x, y: (
+        f"i={i} g{g0} on {x},{y}", {"g0": g0, "x": str(x), "y": str(y)}),
+    "gamma-moves": _pair("->"),
+    "gamma-inverse": _pair(","),
+    "gamma-in-delta": _pair(","),
+    "gamma-cocycle": _triple("x", "y", "z"),
+    "delta-gamma-restriction": _pair(","),
+    "gamma-restriction": lambda i, x, y, xp: (
+        f"i={i} {x},{y} via {xp}", {"x": str(x), "y": str(y), "xp": str(xp)}),
+    "tau-identity": lambda i: (f"i={i}", None),
+    "tau-maps-onto": _pair("->", "a", "b"),
+    "tau-inverse": _pair(",", "a", "b"),
+    "tau-cocycle": _triple("a", "b", "c"),
+    "tau-equivariance": _conjugated("a", "b"),
+    "tau-path-independence": lambda i, a, b, path: (
+        f"i={i} {a}->{b} len={len(path)}",
+        {"a": str(a), "b": str(b), "path_len": len(path) - 1}),
+}
 
 
 @dataclass
 class TransportReport:
-    checks: list[RuleCheck] = field(default_factory=list)
+    """Per-rule checked and failed counts of a sweep, plus one entry per
+    failed check; a passing check is only counted."""
+
     truncation: int = 0
+    rules: dict[str, dict] = field(default_factory=dict)
+    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def total(self) -> int:
+        return sum(slot["checked"] for slot in self.rules.values())
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return not self.failures
 
-    def failures(self) -> list[RuleCheck]:
-        return [c for c in self.checks if not c.passed]
-
-    def add(self, rule: str, instance: str, ok: bool, witness: dict | None = None):
-        self.checks.append(RuleCheck(rule, instance, ok,
-                                     witness if not ok else None))
+    def add(self, rule: str, ok: bool, i: int, *parts) -> None:
+        """Count one check of `rule` at level i; a failure is also described
+        from its instance parts."""
+        slot = self.rules.get(rule)
+        if slot is None:
+            slot = self.rules[rule] = {"checked": 0, "failed": 0}
+        slot["checked"] += 1
+        if not ok:
+            slot["failed"] += 1
+            instance, witness = _DESCRIBE[rule](i, *parts)
+            entry = {"rule": rule, "instance": instance, "pass": False}
+            if witness is not None:
+                entry["witness"] = witness
+            self.failures.append(entry)
 
     def to_json(self) -> dict:
-        per_rule: dict[str, dict] = {}
-        for c in self.checks:
-            slot = per_rule.setdefault(c.rule, {"checked": 0, "failed": 0})
-            slot["checked"] += 1
-            slot["failed"] += not c.passed
         return {
             "truncation": self.truncation,
             "passed": self.passed,
-            "total": len(self.checks),
-            "failed": len(self.failures()),
-            "rules": per_rule,
-            "failures": [c.to_json() for c in self.checks if not c.passed],
+            "total": self.total,
+            "failed": len(self.failures),
+            "rules": self.rules,
+            "failures": self.failures,
         }
-
-
-def _same_level_pairs(t: TruncatedTree, i: int) -> list[tuple[Vertex, Vertex]]:
-    vs = sorted((t.verts[v] for v in range(t.n) if t.level(v) == i),
-                key=T.address_key)
-    return [(a, b) for a in vs for b in vs]
-
-
-def _hs_pairs(d: NagaoDatum, t: TruncatedTree, i: int):
-    vs = sorted((t.verts[v] for v in range(t.n) if t.level(v) == i),
-                key=T.address_key)
-    return [(a, b) for a in vs for b in vs if H.in_same_horosphere(d, a, b)]
 
 
 def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0,
@@ -224,32 +205,36 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
     small_words = W.enumerate_words(d, 2, [1, 2])
 
     for i in levels:
-        hs_pairs = _hs_pairs(d, t, i)
-        lv_pairs = _same_level_pairs(t, i)
+        # the in-ball horosphere of every level-i vertex, in address order;
+        # balls and horoballs are convex, so the flooded horosphere is the
+        # in-ball part of the symbolic one
+        sphere: dict[Vertex, list[Vertex]] = {}
+        for hb in H.horoballs(t, i):
+            members = sorted((t.verts[v] for v in hb.horosphere_ids()),
+                             key=T.address_key)
+            for x in members:
+                sphere[x] = members
+        vs = sorted(sphere, key=T.address_key)
+        hs_pairs = [(x, y) for x in vs for y in sphere[x]]
+        lv_pairs = [(x, y) for x in vs for y in vs]
 
         # delta rules
         for x, y in sample(hs_pairs, samples):
             dl = delta_xy(d, x, y)
-            rep.add("delta-moves", f"i={i} {x}->{y}",
-                    T.act_word(d, dl, x) == y, {"x": str(x), "y": str(y)})
-            rep.add("delta-inverse", f"i={i} {x},{y}",
-                    delta_xy(d, y, x) == W.delta_inv(d, dl),
-                    {"x": str(x), "y": str(y)})
+            rep.add("delta-moves", T.act_word(d, dl, x) == y, i, x, y)
+            rep.add("delta-inverse", delta_xy(d, y, x) == W.delta_inv(d, dl),
+                    i, x, y)
         for x, y in sample(hs_pairs, max(1, samples // 4)):
-            for _, z in sample([(x, z) for (x2, z) in hs_pairs if x2 == x],
-                               max(1, samples // 4)):
+            for z in sample(sphere[x], max(1, samples // 4)):
                 lhs = W.delta_mul(d, delta_xy(d, y, z), delta_xy(d, x, y))
-                rep.add("delta-cocycle", f"i={i} {x},{y},{z}",
-                        lhs == delta_xy(d, x, z),
-                        {"x": str(x), "y": str(y), "z": str(z)})
+                rep.add("delta-cocycle", lhs == delta_xy(d, x, z), i, x, y, z)
         for x, y in sample(hs_pairs, max(1, samples // 4)):
             for h in sample(small_words, 8 if samples else 4):
                 hx, hy = T.act_word(d, h, x), T.act_word(d, h, y)
                 lhs = W.delta_mul(d, W.delta_mul(d, h, delta_xy(d, x, y)),
                                   W.delta_inv(d, h))
-                rep.add("delta-equivariance", f"i={i} h on {x},{y}",
-                        lhs == delta_xy(d, hx, hy),
-                        {"h": str(h), "x": str(x), "y": str(y)})
+                rep.add("delta-equivariance", lhs == delta_xy(d, hx, hy),
+                        i, h, x, y)
         # equivariance under the finite vertex group: by uniqueness of the
         # high transporter, conjugating delta_{x,y} must give the
         # transporter of the image pair; this is the rule that requires the
@@ -265,27 +250,20 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
                     ok = lhs == rhs
                 except NotSameHorosphere:
                     ok = False
-                rep.add("delta-equivariance-gamma0", f"i={i} g{g0} on {x},{y}",
-                        ok, {"g0": g0, "x": str(x), "y": str(y)})
+                rep.add("delta-equivariance-gamma0", ok, i, g0, x, y)
 
         # gamma rules
         for x, y in sample(lv_pairs, samples):
             g = gamma_xy(d, x, y)
-            rep.add("gamma-moves", f"i={i} {x}->{y}",
-                    T.act(d, g, x) == y, {"x": str(x), "y": str(y)})
-            rep.add("gamma-inverse", f"i={i} {x},{y}",
-                    gamma_xy(d, y, x) == W.gamma_inv(d, g),
-                    {"x": str(x), "y": str(y)})
+            rep.add("gamma-moves", T.act(d, g, x) == y, i, x, y)
+            rep.add("gamma-inverse", gamma_xy(d, y, x) == W.gamma_inv(d, g),
+                    i, x, y)
             if x[1] == y[1]:  # same Delta-orbit: the Gamma0 part must vanish
-                rep.add("gamma-in-delta", f"i={i} {x},{y}",
-                        g[0] == d.ident0, {"x": str(x), "y": str(y)})
-        vs_i = sorted({a for a, _ in lv_pairs}, key=T.address_key)
-        triples = [(x, y, z) for x in vs_i for y in vs_i for z in vs_i]
+                rep.add("gamma-in-delta", g[0] == d.ident0, i, x, y)
+        triples = [(x, y, z) for x in vs for y in vs for z in vs]
         for x, y, z in sample(triples, samples):
             lhs = W.gamma_mul(d, gamma_xy(d, y, z), gamma_xy(d, x, y))
-            rep.add("gamma-cocycle", f"i={i} {x},{y},{z}",
-                    lhs == gamma_xy(d, x, z),
-                    {"x": str(x), "y": str(y), "z": str(z)})
+            rep.add("gamma-cocycle", lhs == gamma_xy(d, x, z), i, x, y, z)
 
         # cross-family rule: for same-horosphere pairs the two transporters
         # restrict identically to the horoball (membership condition (a)
@@ -297,8 +275,7 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
             hb = H.horoball(t, x)
             ok = all(T.act(d, dl, t.verts[v]) == T.act(d, gm, t.verts[v])
                      for v in hb.vertex_ids)
-            rep.add("delta-gamma-restriction", f"i={i} {x},{y}", ok,
-                    {"x": str(x), "y": str(y)})
+            rep.add("delta-gamma-restriction", ok, i, x, y)
 
         # restriction rule: gamma_{x,y} and gamma_{x',y'} agree on HB(x)
         for x, y in sample(lv_pairs, max(1, samples // 2)):
@@ -309,30 +286,25 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
                 gp = gamma_xy(d, xp, yp)
                 ok = all(T.act(d, g, t.verts[v]) == T.act(d, gp, t.verts[v])
                          for v in hb.vertex_ids)
-                rep.add("gamma-restriction", f"i={i} {x},{y} via {xp}", ok,
-                        {"x": str(x), "y": str(y), "xp": str(xp)})
+                rep.add("gamma-restriction", ok, i, x, y, xp)
 
         # tau rules
         g_i = H.component_graph(t, i)
         keys = g_i.node_keys()
-        rep.add("tau-identity", f"i={i}", tau_XY(d, g_i, keys[0], keys[0]) == W.EMPTY)
+        rep.add("tau-identity", tau_XY(d, g_i, keys[0], keys[0]) == W.EMPTY, i)
         pairs = [(a, b) for a in keys for b in keys if a != b]
         for a, b in sample(pairs, samples):
             tau = tau_XY(d, g_i, a, b)
             img = {T.act_word(d, tau, v) for v in g_i.components[a].vertices()}
             tgt = set(g_i.components[b].vertices())
             in_ball_img = {v for v in img if v in t}
-            rep.add("tau-maps-onto", f"i={i} {a}->{b}",
-                    in_ball_img <= tgt, {"a": str(a), "b": str(b)})
-            rep.add("tau-inverse", f"i={i} {a},{b}",
-                    tau_XY(d, g_i, b, a) == W.delta_inv(d, tau),
-                    {"a": str(a), "b": str(b)})
+            rep.add("tau-maps-onto", in_ball_img <= tgt, i, a, b)
+            rep.add("tau-inverse", tau_XY(d, g_i, b, a) == W.delta_inv(d, tau),
+                    i, a, b)
         triples = [(a, b, c) for a in keys for b in keys for c in keys]
         for a, b, c in sample(triples, samples):
             lhs = W.delta_mul(d, tau_XY(d, g_i, b, c), tau_XY(d, g_i, a, b))
-            rep.add("tau-cocycle", f"i={i} {a},{b},{c}",
-                    lhs == tau_XY(d, g_i, a, c),
-                    {"a": str(a), "b": str(b), "c": str(c)})
+            rep.add("tau-cocycle", lhs == tau_XY(d, g_i, a, c), i, a, b, c)
         # equivariance under Delta, evaluated where the images stay in view
         for a, b in sample(pairs, max(1, samples // 2)):
             for h in sample(small_words, 4):
@@ -344,17 +316,16 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
                     continue
                 lhs = W.delta_mul(d, W.delta_mul(d, h, tau_XY(d, g_i, a, b)),
                                   W.delta_inv(d, h))
-                rep.add("tau-equivariance", f"i={i} h on {a},{b}",
-                        lhs == tau_XY(d, g_i, ka, kb),
-                        {"h": str(h), "a": str(a), "b": str(b)})
+                rep.add("tau-equivariance", lhs == tau_XY(d, g_i, ka, kb),
+                        i, h, a, b)
         # path independence: products over arbitrary paths match the geodesic
         for a, b in sample(pairs, max(1, samples // 2)):
             geo = g_i.geodesic(a, b)
             for path in _random_paths(g_i, a, b, rng, limit=3,
                                       maxlen=len(geo) + 3):
-                rep.add("tau-path-independence", f"i={i} {a}->{b} len={len(path)}",
+                rep.add("tau-path-independence",
                         tau_along(d, g_i, path) == tau_XY(d, g_i, a, b),
-                        {"a": str(a), "b": str(b), "path_len": len(path) - 1})
+                        i, a, b, path)
     return rep
 
 

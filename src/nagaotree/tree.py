@@ -262,18 +262,29 @@ class UniformPiece:
         return sum(1 for u in self.tree.adj[vid] if u in member)
 
 
+def bfs_depths(sources, nbrs, max_depth: int | None = None) -> dict:
+    """BFS depth of every node reachable from `sources` through `nbrs`,
+    up to `max_depth` when given, in discovery order."""
+    depth = {v: 0 for v in sources}
+    frontier = list(depth)
+    k = 0
+    while frontier and (max_depth is None or k < max_depth):
+        k += 1
+        nxt = []
+        for u in frontier:
+            for w in nbrs(u):
+                if w not in depth:
+                    depth[w] = k
+                    nxt.append(w)
+        frontier = nxt
+    return depth
+
+
 def flood(t: TruncatedTree, start: int, keep) -> list[int]:
     """Sorted ids of the in-ball component of `start` among the vertices
     whose id satisfies `keep`."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for u in t.adj[v]:
-            if u not in seen and keep(u):
-                seen.add(u)
-                stack.append(u)
-    return sorted(seen)
+    return sorted(bfs_depths([start],
+                             lambda v: (u for u in t.adj[v] if keep(u))))
 
 
 def uniform_piece(d: NagaoDatum, i: int, radius: int) -> UniformPiece:

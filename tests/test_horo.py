@@ -1,8 +1,14 @@
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
 from conftest import horoball_oracle
+from nagaotree import datum as D
 from nagaotree import horo as H
 from nagaotree import tree as T
 from nagaotree import words as W
@@ -62,21 +68,67 @@ def test_horoball_matches_geodesic_oracle(d3):
             assert got == horoball_oracle(t, x)
 
 
-def test_horosphere_membership_symbolic_vs_extensional(d0):
-    t = T.ball(d0, T.base_vertex(), 5)
+@pytest.mark.parametrize("name,radius",
+                         [("D0", 5), ("D1", 5), ("D3", 5), ("D2", 3)])
+def test_horosphere_membership_symbolic_vs_extensional(name, radius):
+    # balls and horoballs are convex, so the flooded in-ball horosphere is
+    # exactly the in-ball part of the symbolic one
+    d = D.builtin(name)
+    t = T.ball(d, T.base_vertex(), radius)
     lvl = [t.verts[v] for v in range(t.n) if t.level(v) in (1, 2)]
     for x in lvl:
         sphere = set(H.horosphere(t, x))
         for y in lvl:
-            if y[2] != x[2]:
-                continue
-            member = H.in_same_horosphere(d0, x, y)
-            if y in sphere:
-                assert member
-            elif member:
-                # symbolically on the horosphere but the connecting path
-                # leaves the ball: only possible near the boundary
-                assert T.distance(t, x, y) + t.dist[t.vid(x)] > t.radius
+            if y[2] == x[2]:
+                assert H.in_same_horosphere(d, x, y) == (y in sphere), (x, y)
+
+
+def test_horoballs_partition_each_level(d0):
+    t = T.ball(d0, T.base_vertex(), 5)
+    for i in (1, 2, 3):
+        hbs = H.horoballs(t, i)
+        spheres = [hb.horosphere_ids() for hb in hbs]
+        flat = [vid for s in spheres for vid in s]
+        assert sorted(flat) == [v for v in range(t.n) if t.level(v) == i]
+        assert [s[0] for s in spheres] == sorted(s[0] for s in spheres)
+        assert all(hb is H.horoball(t, t.verts[s[0]])
+                   for hb, s in zip(hbs, spheres))
+
+
+def test_component_graph_cycle_raises_under_python_O():
+    # the cycle check must survive `python -O`, which strips asserts; the
+    # faulty tree is a copy of a ball with one extra edge joining two
+    # level-1 vertices of adjacent components on a shared horosphere
+    code = textwrap.dedent("""
+        from nagaotree import datum as D, horo as H, tree as T
+        from nagaotree.errors import NagaoError
+        if __debug__:
+            raise SystemExit("expected to run under python -O")
+        d = D.builtin("D0")
+        t = T.ball(d, T.base_vertex(), 4)
+        g = H.component_graph(t, 1)
+        a = g.node_keys()[0]
+        xa, xb = g.witness(a, g.edges[a][0])
+        ia, ib = t.vid(xa), t.vid(xb)
+        adj = [list(nbrs) for nbrs in t.adj]
+        adj[ia].append(ib)
+        adj[ib].append(ia)
+        bad = T.TruncatedTree(datum=d, center=t.center, radius=t.radius,
+                              verts=t.verts, index=t.index, dist=t.dist,
+                              parent=t.parent, adj=adj)
+        try:
+            H.component_graph(bad, 1)
+        except NagaoError as exc:
+            print(type(exc).__name__)
+        if ib in t.adj[ia]:
+            raise SystemExit("the cached ball was mutated")
+    """)
+    src = str(Path(H.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "NagaoError"
 
 
 def test_component_of_base_is_uniform_piece(d0):

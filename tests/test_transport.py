@@ -135,17 +135,20 @@ def test_tau_path_independence(d0):
         assert TR.tau_along(d0, g, path) == TR.tau_XY(d0, g, a, b)
 
 
-def test_verify_transport_exhaustive_d0():
-    d0 = D.builtin("D0")
-    rep = TR.verify_transport(d0, 5, levels=(1, 2), samples=0)
+@pytest.mark.parametrize("name,radius,total",
+                         [("D0", 5, 137_014), ("D3", 4, 16_417)])
+def test_verify_transport_exhaustive(name, radius, total):
+    rep = TR.verify_transport(D.builtin(name), radius, levels=(1, 2), samples=0)
     assert rep.passed
-    assert len(rep.checks) > 1000
+    assert rep.total > 1000
+    assert rep.total == total
 
 
 def test_verify_transport_sampled_d2(d2):
     rep = TR.verify_transport(d2, 4, levels=(1, 2), samples=24, seed=9)
     assert rep.passed
-    assert len(rep.checks) >= 200
+    assert rep.total >= 200
+    assert rep.total == 1190
 
 
 def _twisted_datum(corrupt: bool):
@@ -178,8 +181,11 @@ def test_fault_injection_is_detected():
     # and it surfaces as transporter-rule counterexamples
     tr = TR.verify_transport(bad, 4, levels=(1, 2), samples=60, seed=13)
     assert not tr.passed
-    assert tr.failures()
-    assert tr.failures()[0].witness is not None
+    assert (tr.total, len(tr.failures)) == (1508, 21)
+    assert sum(slot["failed"] for slot in tr.rules.values()) == 21
+    first = tr.failures[0]
+    assert first["rule"] in tr.rules and first["instance"]
+    assert first["witness"]
 
 
 def test_restriction_rule_instance(d0):
@@ -197,18 +203,3 @@ def test_restriction_rule_instance(d0):
         for vid in hb.vertex_ids:
             v = t.verts[vid]
             assert T.act(d0, g, v) == T.act(d0, gp, v)
-
-
-def test_transporter_records(d0):
-    t = T.ball(d0, T.base_vertex(), 5)
-    x1 = T.ray_vertex(1)
-    y = T.act_word(d0, W.generator(1, 2, 1), x1)
-    tp = TR.delta_transporter(d0, x1, y)
-    assert tp.kind == "delta" and tp.word == W.generator(1, 2, 1)
-    tp2 = TR.gamma_transporter(d0, x1, T.ray_vertex(1, 2))
-    assert tp2.kind == "gamma" and T.act(d0, tp2.value, x1) == T.ray_vertex(1, 2)
-    import nagaotree.horo as H2
-    g = H2.component_graph(t, 1)
-    keys = g.node_keys()
-    tp3 = TR.tau_transporter(d0, g, keys[0], g.edges[keys[0]][0])
-    assert tp3.kind == "tau"

@@ -140,6 +140,20 @@ def test_distance_and_geodesic(d0, ball_d0_6):
         T.distance(t, x0, (W.EMPTY, 1, 9))
 
 
+def test_bfs_depths_match_ball_distances(ball_d0_6):
+    t = ball_d0_6
+    depth = T.bfs_depths([0], t.adj.__getitem__)
+    assert list(depth) == list(range(t.n))  # discovery order is BFS order
+    assert [depth[vid] for vid in range(t.n)] == t.dist
+    near = T.bfs_depths([0], t.adj.__getitem__, max_depth=2)
+    assert set(near) == {vid for vid in range(t.n) if t.dist[vid] <= 2}
+    # several sources: the distance to the nearest one
+    x3 = t.vid(T.ray_vertex(3))
+    both = T.bfs_depths([0, x3], t.adj.__getitem__)
+    assert both[t.vid(T.ray_vertex(2))] == 1
+    assert both[x3] == 0 and both[0] == 0
+
+
 def test_level_decrease_along_geodesics(d0, ball_d0_6):
     # a geodesic that starts by descending satisfies l(y_j) = l(y_0) - j
     # for all j <= l(y_0) it reaches
