@@ -135,13 +135,19 @@ def test_tau_path_independence(d0):
         assert TR.tau_along(d0, g, path) == TR.tau_XY(d0, g, a, b)
 
 
-@pytest.mark.parametrize("name,radius,total",
-                         [("D0", 5, 137_014), ("D3", 4, 16_417)])
-def test_verify_transport_exhaustive(name, radius, total):
+def _check_exhaustive(name, radius, total):
     rep = TR.verify_transport(D.builtin(name), radius, levels=(1, 2), samples=0)
     assert rep.passed
     assert rep.total > 1000
     assert rep.total == total
+
+
+def test_verify_transport_exhaustive_d0():
+    _check_exhaustive("D0", 5, 137_014)
+
+
+def test_verify_transport_exhaustive_d3():
+    _check_exhaustive("D3", 4, 16_417)
 
 
 def test_verify_transport_sampled_d2(d2):
@@ -203,3 +209,24 @@ def test_restriction_rule_instance(d0):
         for vid in hb.vertex_ids:
             v = t.verts[vid]
             assert T.act(d0, g, v) == T.act(d0, gp, v)
+
+
+def test_transporter_records(d0):
+    # each transporter moves its source where it names: delta and gamma
+    # carry the vertex, tau carries the source component into the target
+    t = T.ball(d0, T.base_vertex(), 5)
+    x1 = T.ray_vertex(1)
+    y = T.act_word(d0, W.generator(1, 2, 1), x1)
+    dl = TR.delta_xy(d0, x1, y)
+    assert dl == W.generator(1, 2, 1)
+    assert T.act(d0, (d0.ident0, dl), x1) == y
+    gm = TR.gamma_xy(d0, x1, T.ray_vertex(1, 2))
+    assert T.act(d0, gm, x1) == T.ray_vertex(1, 2)
+    g = H.component_graph(t, 1)
+    a = g.node_keys()[0]
+    b = g.edges[a][0]
+    tau = TR.tau_XY(d0, g, a, b)
+    dst = set(g.components[b].vertices())
+    for v in g.components[a].vertices():
+        img = T.act(d0, (d0.ident0, tau), v)
+        assert img not in t or img in dst
