@@ -53,13 +53,17 @@ def load_datum(source: str) -> D.NagaoDatum:
     return D.datum_from_json(obj, name=Path(source).stem)
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    text = S.dumps_canonical(payload)
+def _write(cfg: RunConfig, text: str) -> None:
+    """Write a report to --out, creating its directory, or to stdout."""
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
         Path(cfg.out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(cfg: RunConfig, payload: dict) -> None:
+    _write(cfg, S.dumps_canonical(payload))
 
 
 # what a malformed datum or map file raises
@@ -88,11 +92,7 @@ def cmd_validate(cfg: RunConfig, d: D.NagaoDatum) -> int:
 def cmd_tree(cfg: RunConfig, d: D.NagaoDatum) -> int:
     t = T.ball(d, T.base_vertex(), cfg.radius)
     if cfg.format == "dot":
-        text = S.tree_to_dot(t) + "\n"
-        if cfg.out:
-            Path(cfg.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+        _write(cfg, S.tree_to_dot(t) + "\n")
     else:
         _emit(cfg, {"command": "tree", "ok": True, "tree": t.to_json()})
     return EXIT_PASS
@@ -125,7 +125,7 @@ def cmd_extend(cfg: RunConfig, d: D.NagaoDatum) -> int:
             T.validate_address(d, va)
             T.validate_address(d, vb)
             pairs[va] = vb
-        phi = E.TreeMap.from_pairs(d, pairs)
+        phi = E.TreeMap(d, pairs)
     except INPUT_ERRORS as exc:
         return _fail(cfg, "extend", exc, EXIT_INVALID_INPUT)
     try:

@@ -97,7 +97,7 @@ class NagaoDatum:
             for g in range(gamma0.order)
         )
         self.ident0 = gamma0.identity
-        self._caches: dict = {}
+        self._balls: dict = {}
 
     # -- root group schedule -------------------------------------------------
 
@@ -182,94 +182,6 @@ def builtin(name: str) -> NagaoDatum:
         # odd slots C2, even slots C3
         return NagaoDatum(g0, h0, (), (c2, c3), name="D3")
     raise UnknownName(f"unknown builtin datum {name!r}; expected one of {BUILTIN_NAMES}")
-
-
-@dataclass(frozen=True)
-class VertexGroup:
-    """The semidirect product H0 x| (U_1 x ... x U_i) with its embeddings.
-
-    Elements are mixed-radix encodings of (h, u_1, ..., u_i): the local h0
-    position is the least significant digit.
-    """
-
-    group: FiniteGroup
-    h0_embed: dict[int, int]
-    root_embeds: tuple[tuple[int, ...], ...]
-
-    def embed_root(self, j: int, u: int) -> int:
-        return self.root_embeds[j - 1][u]
-
-
-def gamma_i(d: NagaoDatum, i: int) -> VertexGroup:
-    """Full multiplication table of the level-i vertex group.
-
-    The product convention matches h*u notation:
-    (h, u) (h', u') = (h h', theta_{h'^-1}(u) u') componentwise.
-    """
-    if i < 1:
-        raise BadSchedule("gamma_i requires i >= 1")
-    cached = d._caches.get(("gamma_i", i))
-    if cached is not None:
-        return cached
-    h_members = d.h0.members
-    nh = len(h_members)
-    h_pos = {h: p for p, h in enumerate(h_members)}
-    roots = [d.root(j) for j in range(1, i + 1)]
-    radices = [nh] + [r.q for r in roots]
-    order = 1
-    for r in radices:
-        order *= r
-
-    def decode(x: int) -> list[int]:
-        digits = []
-        for r in radices:
-            digits.append(x % r)
-            x //= r
-        return digits
-
-    def encode(digits: list[int]) -> int:
-        x = 0
-        for r, digit in zip(reversed(radices), reversed(digits)):
-            x = x * r + digit
-        return x
-
-    g0 = d.gamma0
-    all_digits = [decode(x) for x in range(order)]
-    table_rows = []
-    for a in range(order):
-        da = all_digits[a]
-        ha = h_members[da[0]]
-        row = []
-        for b in range(order):
-            db = all_digits[b]
-            hb = h_members[db[0]]
-            hb_inv = g0.inv(hb)
-            digits = [h_pos[g0.mul(ha, hb)]]
-            for j, rd in enumerate(roots, start=1):
-                twisted = rd.action.rows[hb_inv][da[j]]
-                digits.append(rd.group.mul(twisted, db[j]))
-            row.append(encode(digits))
-        table_rows.append(tuple(row))
-    ident = encode([h_pos[g0.identity]] + [rd.group.identity for rd in roots])
-    group = algebra.trusted_group(tuple(table_rows), ident,
-                                  name=f"Gamma_{i}({d.name or 'custom'})")
-
-    h0_embed = {}
-    for h in h_members:
-        digits = [h_pos[h]] + [rd.group.identity for rd in roots]
-        h0_embed[h] = encode(digits)
-    root_embeds = []
-    for j, rd in enumerate(roots, start=1):
-        col = []
-        for u in range(rd.q):
-            digits = [h_pos[g0.identity]] + [r.group.identity for r in roots]
-            digits[j] = u
-            col.append(encode(digits))
-        root_embeds.append(tuple(col))
-    out = VertexGroup(group=group, h0_embed=h0_embed,
-                      root_embeds=tuple(root_embeds))
-    d._caches[("gamma_i", i)] = out
-    return out
 
 
 def datum_from_json(obj: dict, name: str = "") -> NagaoDatum:

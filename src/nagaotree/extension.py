@@ -53,14 +53,6 @@ class TreeMap:
         d = t.datum
         return cls(d, {v: T.act(d, g, v) for v in t.verts}, backing=g)
 
-    @classmethod
-    def identity(cls, t: TruncatedTree) -> "TreeMap":
-        return cls.from_element(t, W.gamma_identity(t.datum))
-
-    @classmethod
-    def from_pairs(cls, d: NagaoDatum, pairs) -> "TreeMap":
-        return cls(d, dict(pairs))
-
     def __len__(self) -> int:
         return len(self.pairs)
 
@@ -78,19 +70,11 @@ class TreeMap:
             img = T.act(self.datum, W.gamma_inv(self.datum, self.backing), v)
         return img
 
-    def domain(self) -> list[Vertex]:
-        return sorted(self.pairs, key=T.address_key)
-
     def is_level_preserving(self) -> bool:
         return all(v[2] == img[2] for v, img in self.pairs.items())
 
     def is_type_preserving(self) -> bool:
         return all(v[2] % 2 == img[2] % 2 for v, img in self.pairs.items())
-
-    def restricted(self, vertices) -> "TreeMap":
-        return TreeMap(self.datum,
-                       {v: self.pairs[v] for v in vertices if v in self.pairs},
-                       backing=self.backing)
 
     def compose(self, inner: "TreeMap") -> "TreeMap":
         """self o inner, on the domain where the chain is defined."""
@@ -103,21 +87,6 @@ class TreeMap:
         if self.backing is not None and inner.backing is not None:
             backing = W.gamma_mul(self.datum, self.backing, inner.backing)
         return TreeMap(self.datum, out, backing=backing)
-
-    def inverted(self) -> "TreeMap":
-        backing = None
-        if self.backing is not None:
-            backing = W.gamma_inv(self.datum, self.backing)
-        return TreeMap(self.datum, {img: v for v, img in self.pairs.items()},
-                       backing=backing)
-
-    def agrees_with(self, other: "TreeMap", on=None) -> bool:
-        vs = on if on is not None else self.pairs.keys()
-        for v in vs:
-            a, b = self.apply(v), other.apply(v)
-            if a is None or b is None or a != b:
-                return False
-        return True
 
     def to_json(self) -> dict:
         from .serialize import vertex_to_json
@@ -283,7 +252,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     silently passed.
     """
     d = t.datum
-    lp = all(v[2] == img[2] for v, img in h.pairs.items())
+    lp = h.is_level_preserving()
     ca = ConditionStats()
     cb = ConditionStats()
     cert = LiCertificate(i=i, truncation=t.radius, level_preserving=lp,

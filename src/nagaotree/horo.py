@@ -58,14 +58,13 @@ def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
     """
     if x[2] == 0:
         raise LevelZeroBase(f"{x} has level 0: horoballs need positive level")
-    cache = t._graph_cache.setdefault("horoballs", {})
-    hit = cache.get(x)
+    hit = t._horoballs.get(x)
     if hit is None:
         start = t.vid(x)
         lv = x[2]
         ids = T.flood(t, start, lambda u: t.level(u) >= lv)
         hit = HoroballView(base=x, tree=t, vertex_ids=ids)
-        cache[x] = hit
+        t._horoballs[x] = hit
     return hit
 
 
@@ -151,15 +150,9 @@ class ComponentGraph:
     edges: dict[Vertex, list[Vertex]]
     edge_witness: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]]
     comp_of_vid: dict[int, Vertex] = field(repr=False, default_factory=dict)
-    _ids: dict[Vertex, int] = field(repr=False, default_factory=dict)
 
     def node_keys(self) -> list[Vertex]:
         return sorted(self.components, key=T.address_key)
-
-    def node_id(self, key: Vertex) -> int:
-        if not self._ids:
-            self._ids = {k: n for n, k in enumerate(self.node_keys())}
-        return self._ids[key]
 
     def witness(self, a: Vertex, b: Vertex) -> tuple[Vertex, Vertex]:
         wit = self.edge_witness.get((a, b))
@@ -195,9 +188,9 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
     """All level-<=i components meeting the ball, with horosphere edges."""
     if i < 1:
         raise LevelTooHigh("component graphs need a level bound i >= 1")
-    cache = t._graph_cache
-    if i in cache:
-        return cache[i]
+    hit = t._component_graphs.get(i)
+    if hit is not None:
+        return hit
     comp_of_vid: dict[int, Vertex] = {}
     components: dict[Vertex, Component] = {}
     for vid in range(t.n):
@@ -229,5 +222,5 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
         edges[key].sort(key=T.address_key)
     g = ComponentGraph(i=i, tree=t, components=components, edges=edges,
                        edge_witness=witness, comp_of_vid=comp_of_vid)
-    cache[i] = g
+    t._component_graphs[i] = g
     return g

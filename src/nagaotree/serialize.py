@@ -52,11 +52,12 @@ def tree_to_dot(t) -> str:
 def component_graph_to_dot(g) -> str:
     """DOT export of a component graph, edges labelled by witness pairs."""
     lines = [f"graph components_{g.i} {{"]
-    for key in g.node_keys():
-        lines.append(f'  n{g.node_id(key)} [label="{vertex_label(key)}"];')
+    ids = {key: n for n, key in enumerate(g.node_keys())}
+    for key, n in ids.items():
+        lines.append(f'  n{n} [label="{vertex_label(key)}"];')
     for (a, b), (x, y) in sorted(g.edge_witness.items()):
         lines.append(
-            f'  n{g.node_id(a)} -- n{g.node_id(b)} '
+            f'  n{ids[a]} -- n{ids[b]} '
             f'[label="{vertex_label(x)}~{vertex_label(y)}"];'
         )
     lines.append("}")

@@ -12,6 +12,7 @@ Three families, all exact group elements:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 from . import horo as H
@@ -59,21 +60,10 @@ def gamma_vertex(d: NagaoDatum, x: Vertex) -> Gamma:
 
 
 def gamma_xy(d: NagaoDatum, x: Vertex, y: Vertex) -> Gamma:
-    """gamma_y * gamma_x^-1: moves x to y for any two same-level vertices.
-
-    The value is canonical (it only depends on the fixed address words), so
-    it is cached on the datum.
-    """
+    """gamma_y * gamma_x^-1: moves x to y for any two same-level vertices."""
     if x[2] != y[2] or x[2] == 0:
         raise LevelMismatch(f"levels {x[2]} and {y[2]} must agree and be positive")
-    cache = d._caches.setdefault("gamma_xy", {})
-    hit = cache.get((x, y))
-    if hit is None:
-        hit = W.gamma_mul(d, gamma_vertex(d, y),
-                          W.gamma_inv(d, gamma_vertex(d, x)))
-        if len(cache) < 100_000:
-            cache[(x, y)] = hit
-    return hit
+    return W.gamma_mul(d, gamma_vertex(d, y), W.gamma_inv(d, gamma_vertex(d, x)))
 
 
 def tau_edge(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
@@ -192,6 +182,9 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
     import random
 
     rng = random.Random(seed)
+    # the sweep asks for the same gamma_{x,y} many times over; the memo
+    # lives for this one sweep
+    gxy = functools.cache(lambda x, y: gamma_xy(d, x, y))
     t = T.ball(d, T.base_vertex(), radius)
     rep = TransportReport(truncation=radius)
 
@@ -254,16 +247,16 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
 
         # gamma rules
         for x, y in sample(lv_pairs, samples):
-            g = gamma_xy(d, x, y)
+            g = gxy(x, y)
             rep.add("gamma-moves", T.act(d, g, x) == y, i, x, y)
-            rep.add("gamma-inverse", gamma_xy(d, y, x) == W.gamma_inv(d, g),
+            rep.add("gamma-inverse", gxy(y, x) == W.gamma_inv(d, g),
                     i, x, y)
             if x[1] == y[1]:  # same Delta-orbit: the Gamma0 part must vanish
                 rep.add("gamma-in-delta", g[0] == d.ident0, i, x, y)
         triples = [(x, y, z) for x in vs for y in vs for z in vs]
         for x, y, z in sample(triples, samples):
-            lhs = W.gamma_mul(d, gamma_xy(d, y, z), gamma_xy(d, x, y))
-            rep.add("gamma-cocycle", lhs == gamma_xy(d, x, z), i, x, y, z)
+            lhs = W.gamma_mul(d, gxy(y, z), gxy(x, y))
+            rep.add("gamma-cocycle", lhs == gxy(x, z), i, x, y, z)
 
         # cross-family rule: for same-horosphere pairs the two transporters
         # restrict identically to the horoball (membership condition (a)
@@ -271,7 +264,7 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         # calculus to the Gamma0-sensitive gamma calculus
         for x, y in sample(hs_pairs, samples):
             dl = (d.ident0, delta_xy(d, x, y))
-            gm = gamma_xy(d, x, y)
+            gm = gxy(x, y)
             hb = H.horoball(t, x)
             ok = all(T.act(d, dl, t.verts[v]) == T.act(d, gm, t.verts[v])
                      for v in hb.vertex_ids)
@@ -279,11 +272,11 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
 
         # restriction rule: gamma_{x,y} and gamma_{x',y'} agree on HB(x)
         for x, y in sample(lv_pairs, max(1, samples // 2)):
-            g = gamma_xy(d, x, y)
+            g = gxy(x, y)
             hb = H.horoball(t, x)
             for xp in sample([t.verts[v] for v in hb.horosphere_ids()], 4):
                 yp = T.act(d, g, xp)
-                gp = gamma_xy(d, xp, yp)
+                gp = gxy(xp, yp)
                 ok = all(T.act(d, g, t.verts[v]) == T.act(d, gp, t.verts[v])
                          for v in hb.vertex_ids)
                 rep.add("gamma-restriction", ok, i, x, y, xp)

@@ -127,7 +127,8 @@ class TruncatedTree:
     adj: list[list[int]]
 
     def __post_init__(self):
-        self._graph_cache: dict = {}
+        self._horoballs: dict = {}
+        self._component_graphs: dict = {}
 
     @property
     def n(self) -> int:
@@ -174,7 +175,7 @@ class TruncatedTree:
 def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
     """BFS closure of `center` to distance `radius`; cached per datum."""
     key = (center, radius)
-    hit = d._caches.get(key)
+    hit = d._balls.get(key)
     if hit is not None:
         return hit
     validate_address(d, center)
@@ -204,7 +205,7 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
         frontier = nxt
     t = TruncatedTree(datum=d, center=center, radius=radius, verts=verts,
                       index=index, dist=dist, parent=parent, adj=adj)
-    d._caches[key] = t
+    d._balls[key] = t
     return t
 
 

@@ -2,16 +2,19 @@
 
 The oracles deliberately avoid the package's own BFS/flood machinery: ball
 sizes come from a degree recursion over the q-schedule, group tables from
-permutation composition, coset counts from brute-force enumeration.
+permutation composition, coset counts from brute-force enumeration, and
+vertex-group tables from the semidirect-product formula on digit tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from dataclasses import dataclass
 
 import pytest
 
+from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import tree as T
 
@@ -71,6 +74,87 @@ def ball_size_oracle(profile, radius: int) -> int:
                 nxt[(lv - 1, True)] += count * (profile.q(lv) - 1)
         layer = nxt
     return total
+
+
+@dataclass(frozen=True)
+class VertexGroup:
+    """The semidirect product H0 x| (U_1 x ... x U_i) with its embeddings.
+
+    Elements are mixed-radix encodings of (h, u_1, ..., u_i): the local h0
+    position is the least significant digit.
+    """
+
+    group: A.FiniteGroup
+    h0_embed: dict[int, int]
+    root_embeds: tuple[tuple[int, ...], ...]
+
+    def embed_root(self, j: int, u: int) -> int:
+        return self.root_embeds[j - 1][u]
+
+
+def gamma_i(d, i: int) -> VertexGroup:
+    """Full multiplication table of the level-i vertex group.
+
+    The product convention matches h*u notation:
+    (h, u) (h', u') = (h h', theta_{h'^-1}(u) u') componentwise.
+    """
+    h_members = d.h0.members
+    nh = len(h_members)
+    h_pos = {h: p for p, h in enumerate(h_members)}
+    roots = [d.root(j) for j in range(1, i + 1)]
+    radices = [nh] + [r.q for r in roots]
+    order = 1
+    for r in radices:
+        order *= r
+
+    def decode(x: int) -> list[int]:
+        digits = []
+        for r in radices:
+            digits.append(x % r)
+            x //= r
+        return digits
+
+    def encode(digits: list[int]) -> int:
+        x = 0
+        for r, digit in zip(reversed(radices), reversed(digits)):
+            x = x * r + digit
+        return x
+
+    g0 = d.gamma0
+    all_digits = [decode(x) for x in range(order)]
+    table_rows = []
+    for a in range(order):
+        da = all_digits[a]
+        ha = h_members[da[0]]
+        row = []
+        for b in range(order):
+            db = all_digits[b]
+            hb = h_members[db[0]]
+            hb_inv = g0.inv(hb)
+            digits = [h_pos[g0.mul(ha, hb)]]
+            for j, rd in enumerate(roots, start=1):
+                twisted = rd.action.rows[hb_inv][da[j]]
+                digits.append(rd.group.mul(twisted, db[j]))
+            row.append(encode(digits))
+        table_rows.append(tuple(row))
+    ident = encode([h_pos[g0.identity]] + [rd.group.identity for rd in roots])
+    group = A.trusted_group(tuple(table_rows), ident,
+                                  name=f"Gamma_{i}({d.name or 'custom'})")
+
+    h0_embed = {}
+    for h in h_members:
+        digits = [h_pos[h]] + [rd.group.identity for rd in roots]
+        h0_embed[h] = encode(digits)
+    root_embeds = []
+    for j, rd in enumerate(roots, start=1):
+        col = []
+        for u in range(rd.q):
+            digits = [h_pos[g0.identity]] + [r.group.identity for r in roots]
+            digits[j] = u
+            col.append(encode(digits))
+        root_embeds.append(tuple(col))
+    return VertexGroup(group=group, h0_embed=h0_embed,
+                       root_embeds=tuple(root_embeds))
 
 
 def perm_group_closure(gens: list[tuple[int, ...]]) -> list[tuple[int, ...]]:

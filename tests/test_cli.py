@@ -69,7 +69,8 @@ def test_tree_json_and_dot(tmp_path, capsys):
     payload = json.loads(out)
     assert len(payload["tree"]["vertices"]) == 10
     assert len(payload["tree"]["edges"]) == 9
-    dot = tmp_path / "ball.dot"
+    # the directory of --out does not exist yet; the writer creates it
+    dot = tmp_path / "exports" / "ball.dot"
     code, _ = run(capsys, "tree", "--datum", "D0", "--radius", "2",
                   "--format", "dot", "--out", str(dot))
     assert code == 0

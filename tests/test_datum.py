@@ -1,7 +1,9 @@
 import pytest
 
+from conftest import gamma_i
 from nagaotree import algebra as A
 from nagaotree import datum as D
+from nagaotree import words as W
 from nagaotree.errors import (BadAction, BadSchedule, IndexTooSmall,
                               RootGroupTooSmall, UnknownName)
 
@@ -77,7 +79,7 @@ def test_unknown_builtin():
 
 
 def test_gamma_i_d0_is_elementary_abelian(d0):
-    vg = D.gamma_i(d0, 2)
+    vg = gamma_i(d0, 2)
     g = vg.group
     assert g.order == 4
     assert all(g.mul(x, x) == g.identity for x in range(4))
@@ -85,7 +87,7 @@ def test_gamma_i_d0_is_elementary_abelian(d0):
 
 
 def test_gamma_i_d1_order(d1):
-    vg = D.gamma_i(d1, 1)
+    vg = gamma_i(d1, 1)
     assert vg.group.order == 4
     # contains embedded copies of H0 and U1
     h_img = set(vg.h0_embed.values())
@@ -95,7 +97,7 @@ def test_gamma_i_d1_order(d1):
 
 
 def test_gamma_i_d2_order_216(d2):
-    vg = D.gamma_i(d2, 2)
+    vg = gamma_i(d2, 2)
     assert vg.group.order == 6 * 6 * 6
 
 
@@ -104,7 +106,7 @@ def test_unique_factorization(name, max_i):
     # every element factors uniquely as h * u_1 * ... * u_i
     d = D.builtin(name)
     for i in range(1, max_i + 1):
-        vg = D.gamma_i(d, i)
+        vg = gamma_i(d, i)
         g = vg.group
         seen = set()
         count = 0
@@ -125,7 +127,7 @@ def test_unique_factorization(name, max_i):
 def test_root_factors_commute_pairwise(name):
     # the direct-splitting condition at the datum level
     d = D.builtin(name)
-    vg = D.gamma_i(d, 3)
+    vg = gamma_i(d, 3)
     g = vg.group
     for j1 in range(1, 4):
         for j2 in range(j1 + 1, 4):
@@ -135,7 +137,7 @@ def test_root_factors_commute_pairwise(name):
 
 
 def test_h0_embedding_is_homomorphic(d1):
-    vg = D.gamma_i(d1, 2)
+    vg = gamma_i(d1, 2)
     g0 = d1.gamma0
     for a in d1.h0.members:
         for b in d1.h0.members:
@@ -151,19 +153,51 @@ def test_datum_json_roundtrip(d3):
     assert d.reps == d3.reps
 
 
-def test_nontrivial_action_datum_accepted():
+def _twisted_datum():
     # C2 acting on C3 by inversion as the root schedule
     g = A.symmetric_group(3)
     h = A.generated_subgroup(g, [1])
     c3 = A.cyclic_group(3)
     act = A.inversion_action(h, c3)
-    d = D.NagaoDatum(g, h, (), (D.RootData(group=c3, action=act),),
-                     name="twisted")
+    return D.NagaoDatum(g, h, (), (D.RootData(group=c3, action=act),),
+                        name="twisted")
+
+
+def test_nontrivial_action_datum_accepted():
+    d = _twisted_datum()
+    h = d.h0
+    act = d.root(1).action
     assert d.q(1) == 3
-    vg = D.gamma_i(d, 1)
+    vg = gamma_i(d, 1)
     assert vg.group.order == 6
     # h u h^-1 = theta_h(u) holds inside the product table
     for hm in h.members:
         for u in range(3):
             lhs = vg.group.conjugate(vg.h0_embed[hm], vg.embed_root(1, u))
             assert lhs == vg.embed_root(1, act.apply(hm, u))
+
+
+@pytest.mark.parametrize("i", [1, 2])
+@pytest.mark.parametrize("name", ["D1", "D2", "D3", "twisted"])
+def test_gamma_i_table_matches_gamma_mul(name, i):
+    # the table element (h, u_1, ..., u_i) is h * u in Gamma, with u the
+    # single ray-1 syllable of payload ((1, u_1), ..., (i, u_i)); the table
+    # product must be the library product
+    d = _twisted_datum() if name == "twisted" else D.builtin(name)
+    vg = gamma_i(d, i)
+    radices = [d.h0.order] + [d.q(j) for j in range(1, i + 1)]
+
+    def element(x):
+        digits = []
+        for r in radices:
+            digits.append(x % r)
+            x //= r
+        pay = tuple((j, u) for j, u in enumerate(digits[1:], start=1)
+                    if u != d.root(j).group.identity)
+        return (d.h0.members[digits[0]], W.syllable_word(1, pay))
+
+    elems = [element(x) for x in range(vg.group.order)]
+    assert len(set(elems)) == vg.group.order
+    for a, ea in enumerate(elems):
+        for b, eb in enumerate(elems):
+            assert W.gamma_mul(d, ea, eb) == elems[vg.group.mul(a, b)]

@@ -70,7 +70,8 @@ def test_greedy_deterministic(d0, ball_d0_6):
 
 
 def test_check_li_identity(d0, ball_d0_6):
-    cert = E.check_Li(ball_d0_6, E.TreeMap.identity(ball_d0_6), 1)
+    ident = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
+    cert = E.check_Li(ball_d0_6, ident, 1)
     assert cert.valid
 
 
@@ -198,7 +199,7 @@ def test_homomorphism_probe_greedy_pairs(d0, ball_d0_6):
 
 
 def test_commensuration_identity_witness(d0, ball_d0_6):
-    Eg = E.TreeMap.identity(ball_d0_6)
+    Eg = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
     samples = [W.generator(1, 2, 1), W.generator(2, 1, 1)]
     rep = E.commensuration_probe(ball_d0_6, Eg, samples, 1)
     assert rep.passed
@@ -350,17 +351,3 @@ def test_extend_E_reproduces_mixed_group_elements(d1, ball_d0_6):
         out = E.extend_E(t, h, 1)
         for v in t.verts:
             assert out.pairs[v] == T.act(d, g, v)
-
-
-def test_treemap_utility_surface(d0, ball_d0_6):
-    t = ball_d0_6
-    g = (d0.ident0, W.generator(1, 1, 1))
-    m = E.TreeMap.from_element(t, g)
-    assert m.domain()[0] == min(t.verts, key=T.address_key)
-    inv = m.inverted()
-    for v in list(m.pairs)[::19]:
-        assert inv.apply(m.pairs[v]) == v
-    sub = m.restricted([T.base_vertex(), T.ray_vertex(1)])
-    assert len(sub.pairs) == 2
-    assert m.agrees_with(E.TreeMap.from_element(t, g))
-    assert not m.agrees_with(E.TreeMap.identity(t))
