@@ -268,16 +268,13 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             if y is None:
                 ca.skipped += 1
                 continue
-            g = TR.gamma_xy(d, x, y)
             mismatch = None
             checked = 0
-            for u_vid in hb.vertex_ids:
-                u = t.verts[u_vid]
+            for u, expect in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
                 img = h.apply(u)
                 if img is None:
                     continue
                 checked += 1
-                expect = T.act(d, g, u)
                 if img != expect:
                     mismatch = {"x": str(x), "u": str(u), "h(u)": str(img),
                                 "gamma(u)": str(expect)}
@@ -421,12 +418,9 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
             y = result.get(x)
             if y is None:
                 continue
-            g = TR.gamma_xy(d, x, y)
             hb = H.horoball(t, x)
             hb_done.update(hb.horosphere_ids())
-            for u_vid in hb.vertex_ids:
-                u = t.verts[u_vid]
-                img = T.act(d, g, u)
+            for u, img in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
                 prev = result.get(u)
                 if prev is None:
                     result[u] = img
@@ -526,7 +520,8 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
     base = T.base_vertex()
     y_key = graph.comp_of_vid[t.vid(base)]
     entries = []
-    fallbacks = _delta_i_words(d, i, fallback_len)
+    fallback_invs = [W.delta_inv(d, sigma)
+                     for sigma in _delta_i_words(d, i, fallback_len)]
     for delta in samples:
         entry = {"sample": W.word_to_json(delta), "ok": False}
         img = T.act_word(d, delta, base)
@@ -538,11 +533,9 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
         z_key = graph.comp_of_vid[t.vid(img)]
         tau = TR.tau_XY(d, graph, z_key, y_key)
         w_pre = W.delta_mul(d, tau, delta)
-        candidates = [w_pre]
-        for sigma in fallbacks:
-            cand = W.delta_mul(d, w_pre, W.delta_inv(d, sigma))
-            if cand not in candidates:
-                candidates.append(cand)
+        # distinct candidates, in first-seen order
+        candidates = dict.fromkeys(
+            [w_pre] + [W.delta_mul(d, w_pre, inv) for inv in fallback_invs])
         found = None
         for delta_j in candidates:
             m = W.delta_mul(d, W.delta_inv(d, delta_j), delta)

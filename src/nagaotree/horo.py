@@ -32,19 +32,40 @@ def level_increasing_ray(d: NagaoDatum, x: Vertex, length: int) -> list[Vertex]:
 
 @dataclass
 class HoroballView:
-    """HB(base) intersected with a ball; horosphere = its level-l(base) part."""
+    """HB(base) intersected with a ball; horosphere = its level-l(base) part.
+
+    The horosphere ids are computed once; the relative coordinates of the
+    vertices seen from each horosphere vertex are memoised on first use.
+    """
 
     base: Vertex
     tree: TruncatedTree
     vertex_ids: list[int]
 
+    def __post_init__(self):
+        lv = self.base[2]
+        self._sphere = tuple(vid for vid in self.vertex_ids
+                             if self.tree.level(vid) == lv)
+        self._relative: dict[int, tuple[Vertex, ...]] = {}
+
     @property
     def level(self) -> int:
         return self.base[2]
 
-    def horosphere_ids(self) -> list[int]:
-        lv = self.level
-        return [vid for vid in self.vertex_ids if self.tree.level(vid) == lv]
+    def horosphere_ids(self) -> tuple[int, ...]:
+        return self._sphere
+
+    def relative(self, x_vid: int) -> tuple[Vertex, ...]:
+        """w_x^-1 . u for every u in vertex_ids (in order), where w_x is the
+        address word of the horosphere vertex x; memoised per x."""
+        hit = self._relative.get(x_vid)
+        if hit is None:
+            t = self.tree
+            d = t.datum
+            w_inv = W.delta_inv(d, t.verts[x_vid][0])
+            hit = tuple(T.act_word(d, w_inv, t.verts[u]) for u in self.vertex_ids)
+            self._relative[x_vid] = hit
+        return hit
 
     def vertices(self) -> list[Vertex]:
         return [self.tree.verts[vid] for vid in self.vertex_ids]
@@ -68,17 +89,20 @@ def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
     return hit
 
 
-def horoballs(t: TruncatedTree, i: int) -> list[HoroballView]:
+def horoballs(t: TruncatedTree, i: int) -> tuple[HoroballView, ...]:
     """The in-ball horoballs of the level-i vertices, one per horosphere,
-    ordered by the least vertex id on each horosphere."""
-    out = []
-    seen: set[int] = set()
-    for vid in range(t.n):
-        if t.level(vid) == i and vid not in seen:
-            hb = horoball(t, t.verts[vid])
-            seen.update(hb.horosphere_ids())
-            out.append(hb)
-    return out
+    ordered by the least vertex id on each horosphere.  Cached per ball."""
+    hit = t._level_horoballs.get(i)
+    if hit is None:
+        out = []
+        seen: set[int] = set()
+        for vid in range(t.n):
+            if t.level(vid) == i and vid not in seen:
+                hb = horoball(t, t.verts[vid])
+                seen.update(hb.horosphere_ids())
+                out.append(hb)
+        hit = t._level_horoballs[i] = tuple(out)
+    return hit
 
 
 def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:

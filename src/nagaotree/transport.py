@@ -20,7 +20,7 @@ from . import tree as T
 from . import words as W
 from .datum import NagaoDatum
 from .errors import LevelMismatch, NotSameHorosphere
-from .horo import ComponentGraph
+from .horo import ComponentGraph, HoroballView
 from .tree import Vertex
 from .words import Gamma, Word
 
@@ -64,6 +64,40 @@ def gamma_xy(d: NagaoDatum, x: Vertex, y: Vertex) -> Gamma:
     if x[2] != y[2] or x[2] == 0:
         raise LevelMismatch(f"levels {x[2]} and {y[2]} must agree and be positive")
     return W.gamma_mul(d, gamma_vertex(d, y), W.gamma_inv(d, gamma_vertex(d, x)))
+
+
+def gamma_xy_on_horoball(d: NagaoDatum, hb: HoroballView, x_vid: int,
+                         y: Vertex):
+    """Yield (u, gamma_xy(x, y) . u) for u over hb.vertex_ids, in order,
+    where x = hb.tree.verts[x_vid] lies on the horosphere of hb.
+
+    With gamma_s = reps[s-1] in Gamma0,
+
+        gamma_xy(x, y) = w_y * (gamma_{s_y} gamma_{s_x}^-1) * w_x^-1,
+
+    and the right-hand factor applied to u, w_x^-1 . u, depends on the ball
+    only (`HoroballView.relative` memoises it).  The middle factor is the
+    identity when s_y = s_x; otherwise it is the Gamma0 element
+    reps[s_y-1] reps[s_x-1]^-1, the only Gamma action left here (w_x^-1 . u
+    lies in HB(x_{i,s_x}), so that action only moves ray s_x to ray s_y).
+    Each image then costs one action of the word w_y, not a Gamma action of
+    the product.
+    """
+    t = hb.tree
+    x = t.verts[x_vid]
+    if x[2] != y[2] or x[2] == 0:
+        raise LevelMismatch(f"levels {x[2]} and {y[2]} must agree and be positive")
+    wy, sy, _ = y
+    sx = x[1]
+    pairs = zip(hb.vertex_ids, hb.relative(x_vid))
+    if sy == sx:
+        for u_vid, r in pairs:
+            yield t.verts[u_vid], T.act_word(d, wy, r)
+    else:
+        g0 = d.gamma0
+        c = (g0.mul(d.reps[sy - 1], g0.inv(d.reps[sx - 1])), W.EMPTY)
+        for u_vid, r in pairs:
+            yield t.verts[u_vid], T.act_word(d, wy, T.act(d, c, r))
 
 
 def tau_edge(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:

@@ -128,6 +128,7 @@ class TruncatedTree:
 
     def __post_init__(self):
         self._horoballs: dict = {}
+        self._level_horoballs: dict = {}
         self._component_graphs: dict = {}
 
     @property

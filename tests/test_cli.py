@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from conftest import twisted_datum
 from nagaotree import cli
 from nagaotree import datum as D
+from nagaotree import extension as E
 from nagaotree import serialize as S
 from nagaotree import tree as T
 from nagaotree import words as W
@@ -87,11 +89,7 @@ def test_suite_passes_on_d0(capsys):
 
 
 def test_suite_failure_exit_code(monkeypatch, capsys):
-    import sys
-    import os
-    sys.path.insert(0, os.path.dirname(__file__))
-    from test_transport import _twisted_datum
-    bad = _twisted_datum(corrupt=True)
+    bad = twisted_datum(corrupt=True)
     monkeypatch.setattr(cli, "load_datum", lambda name: bad)
     code, out = run(capsys, "suite", "--datum", "ignored", "--radius", "4",
                     "--suites", "transport", "--samples", "60")
@@ -130,6 +128,26 @@ def test_extend_identity(tmp_path, capsys):
     assert payload["ok"]
     assert payload["report"]["certificate"]["valid"]
     assert payload["report"]["selected_i"] == 2
+
+
+def test_extend_identity_d2_r3(tmp_path, capsys):
+    # D2 at i = 2 has 51,696 fallback shifts per commensuration sample
+    d = D.builtin("D2")
+    x0 = T.base_vertex()
+    phi = E.TreeMap(d, {v: v for v in [x0] + T.neighbors(d, x0)})
+    _, rep = E.density_pipeline(d, phi, 3, n_samples=4, seed=0,
+                                record_instances=True)
+    cert = rep.certificate
+    assert rep.selected_i == 2 and cert.valid
+    assert (cert.condition_a.checked, cert.condition_a.skipped) == (7, 0)
+    assert (cert.condition_b.checked, cert.condition_b.skipped) == (1, 0)
+    assert [e["ok"] for e in rep.commensuration.entries] == [True] * 4
+    path = _phi_file(tmp_path, d, phi.pairs)
+    code, out = run(capsys, "extend", "--datum", "D2", "--radius", "3",
+                    "--phi", path)
+    assert code == 0
+    assert json.loads(out)["report"] == json.loads(
+        json.dumps(rep.to_json()))
 
 
 def test_extend_swap_nontrivial(tmp_path, capsys):

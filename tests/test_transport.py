@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from conftest import twisted_datum
 from nagaotree import algebra as A
 from nagaotree import datum as D
+from nagaotree import extension as E
 from nagaotree import horo as H
 from nagaotree import transport as TR
 from nagaotree import tree as T
@@ -83,6 +85,73 @@ def test_gamma_xy_moves_and_inverts(d0):
         TR.gamma_xy(d0, T.ray_vertex(1), T.ray_vertex(2))
 
 
+def _gamma_xy_images_oracle(d, hb, x_vid, y):
+    # the definition: one Gamma action of gamma_xy(x, y) per horoball vertex
+    t = hb.tree
+    g = TR.gamma_xy(d, t.verts[x_vid], y)
+    for u_vid in hb.vertex_ids:
+        u = t.verts[u_vid]
+        yield u, T.act(d, g, u)
+
+
+# balls small enough to cover every level-1 and level-2 horoball in seconds
+_ORACLE_CASES = [("D0", 5), ("D1", 4), ("D2", 3), ("D3", 5), ("twisted", 4)]
+
+
+def _oracle_maps(name, radius):
+    """The ball, and maps of three seeded Gamma elements on it: two with a
+    non-identity Gamma0 part, so that images change ray, and one in Delta."""
+    d = twisted_datum() if name == "twisted" else D.builtin(name)
+    t = T.ball(d, T.base_vertex(), radius)
+    rng = random.Random(5)
+    words = W.enumerate_words(d, 2, [1, 2, 3])
+    g0s = [g for g in range(d.gamma0.order) if g != d.ident0]
+    elems = [(rng.choice(g0s), rng.choice(words)) for _ in range(2)]
+    elems.append((d.ident0, rng.choice(words)))
+    return d, t, [E.TreeMap.from_element(t, g) for g in elems]
+
+
+@pytest.mark.parametrize("name,radius", _ORACLE_CASES)
+def test_gamma_xy_on_horoball_matches_gamma_xy(name, radius):
+    d, t, maps = _oracle_maps(name, radius)
+    same_ray = cross_ray = 0
+    for h in maps:
+        for i in (1, 2):
+            for hb in H.horoballs(t, i):
+                for x_vid in hb.horosphere_ids():
+                    y = h.apply(t.verts[x_vid])
+                    if y[1] == t.verts[x_vid][1]:
+                        same_ray += 1
+                    else:
+                        cross_ray += 1
+                    got = list(TR.gamma_xy_on_horoball(d, hb, x_vid, y))
+                    assert got == list(_gamma_xy_images_oracle(d, hb, x_vid, y))
+    # both branches ran: the Gamma0 factor, with its h0-twist, and without
+    assert same_ray > 0 and cross_ray > 0
+
+
+@pytest.mark.parametrize("name,radius", _ORACLE_CASES)
+def test_check_li_matches_gamma_xy_oracle(name, radius, monkeypatch):
+    # element maps, and copies damaged by swapping two same-level images
+    d, t, maps = _oracle_maps(name, radius)
+    rng = random.Random(11)
+    for h in list(maps):
+        for lv in (1, 2):
+            a, b = rng.sample([v for v in t.verts if v[2] == lv], 2)
+            pairs = dict(h.pairs)
+            pairs[a], pairs[b] = pairs[b], pairs[a]
+            maps.append(E.TreeMap(d, pairs))
+
+    def certificates():
+        return [E.check_Li(t, h, i, record_instances=True).to_json()
+                for h in maps for i in (1, 2)]
+
+    got = certificates()
+    monkeypatch.setattr(TR, "gamma_xy_on_horoball", _gamma_xy_images_oracle)
+    assert got == certificates()
+    assert any(c["condition_a"]["failures"] for c in got)
+
+
 def test_gamma_cocycle_sampled(d1):
     t = T.ball(d1, T.base_vertex(), 5)
     lvl1 = [t.verts[v] for v in range(t.n) if t.level(v) == 1]
@@ -157,31 +226,11 @@ def test_verify_transport_sampled_d2(d2):
     assert rep.total == 1190
 
 
-def _twisted_datum(corrupt: bool):
-    # Gamma0 = S3, H0 = C2 acting on U_2 = C3 by inversion; the corrupt
-    # variant damages one table entry of that action
-    g0 = A.symmetric_group(3)
-    h0 = A.generated_subgroup(g0, [1])
-    c2 = A.cyclic_group(2)
-    c3 = A.cyclic_group(3)
-    theta = A.inversion_action(h0, c3)
-    if corrupt:
-        rows = dict(theta.rows)
-        rows[1] = (0, 1, 1)  # one entry damaged: no longer a bijection
-        theta = A.GroupAction(acting=h0, target=c3, rows=rows)
-    prefix = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),
-              D.RootData(group=c3, action=theta))
-    period = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),)
-    return D.NagaoDatum(g0, h0, prefix, period,
-                        name="twisted" + ("-corrupt" if corrupt else ""),
-                        _validate=not corrupt)
-
-
 def test_fault_injection_is_detected():
-    good = _twisted_datum(corrupt=False)
+    good = twisted_datum()
     rep = TR.verify_transport(good, 4, levels=(1, 2), samples=60, seed=13)
     assert rep.passed
-    bad = _twisted_datum(corrupt=True)
+    bad = twisted_datum(corrupt=True)
     # the corruption is a non-action, caught by the algebra validator
     assert not A.validate_action(bad.root(2).action).valid
     # and it surfaces as transporter-rule counterexamples
