@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -148,6 +149,9 @@ def test_extend_identity_d2_r3(tmp_path, capsys):
     assert code == 0
     assert json.loads(out)["report"] == json.loads(
         json.dumps(rep.to_json()))
+    # the report bytes, as pinned for the other data in test_golden
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "39d735d7e2cfaf70f4daa38f3b670bcb180c8db9be49c855cd71ad5a7c314c13")
 
 
 def test_extend_swap_nontrivial(tmp_path, capsys):
