@@ -227,9 +227,6 @@ class ActionReport:
     valid: bool
     violations: list[dict]
 
-    def to_json(self) -> dict:
-        return {"valid": self.valid, "violations": self.violations}
-
 
 def validate_action(action: GroupAction) -> ActionReport:
     """Check that every acting element induces an automorphism of the target

@@ -43,6 +43,12 @@ class RunConfig:
     def __post_init__(self):
         if self.radius < 0:
             raise ValueError("radius must be nonnegative")
+        if self.samples < 0:
+            raise ValueError("samples must be nonnegative")
+        unknown = [s for s in self.suites if s not in SU.SUITE_NAMES]
+        if unknown:
+            raise ValueError(f"unknown suites {', '.join(unknown)}; "
+                             f"choose from {', '.join(SU.SUITE_NAMES)}")
 
 
 def load_datum(source: str) -> D.NagaoDatum:

@@ -51,13 +51,12 @@ class LevelProfile:
 
     @property
     def biregular(self) -> bool:
-        # the degree sequence is constant on each level parity class iff
-        # q_i == q_{i+2} for all i; eventual periodicity bounds the check
-        horizon = len(self.q_prefix) + 2 * len(self.q_period) + 3
-        return all(self.q(i) == self.q(i + 2) for i in range(horizon))
+        """The degree sequence is constant on each level parity class."""
+        return self.first_period_two_defect() is None
 
     def first_period_two_defect(self) -> int | None:
         """Smallest l with q_l != q_{l+2}, or None when biregular."""
+        # eventual periodicity bounds the search
         horizon = len(self.q_prefix) + 2 * len(self.q_period) + 3
         for l in range(horizon):
             if self.q(l) != self.q(l + 2):
@@ -97,7 +96,6 @@ class NagaoDatum:
             for g in range(gamma0.order)
         )
         self.ident0 = gamma0.identity
-        self._balls: dict = {}
 
     # -- root group schedule -------------------------------------------------
 

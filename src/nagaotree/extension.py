@@ -28,6 +28,7 @@ from .datum import NagaoDatum
 from .errors import (CannotExtendInTruncation, CannotTransportInTruncation,
                      NotInGraph, NotIsomorphism, NotLevelPreserving,
                      TruncationExceeded, TypeMismatch)
+from .serialize import Tally, vertex_to_json
 from .tree import TruncatedTree, Vertex
 from .words import Gamma, Word
 
@@ -89,7 +90,6 @@ class TreeMap:
         return TreeMap(self.datum, out, backing=backing)
 
     def to_json(self) -> dict:
-        from .serialize import vertex_to_json
         return {
             "level_preserving": self.is_level_preserving(),
             "type_preserving": self.is_type_preserving(),
@@ -186,19 +186,15 @@ def greedy_extend(t: TruncatedTree, psi: TreeMap,
 
 
 @dataclass
-class ConditionStats:
-    checked: int = 0
-    skipped: int = 0
-    failures: list[dict] = field(default_factory=list)
-    instances: list[dict] = field(default_factory=list)
+class ConditionStats(Tally):
+    """The tally of one membership condition, with the points checked per
+    instance when recorded."""
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
+    instances: list[dict] = field(default_factory=list)
 
     def to_json(self) -> dict:
         out = {"checked": self.checked, "skipped": self.skipped,
-               "failures": self.failures[:10]}
+               "failures": self.failures[:self.cap]}
         if self.instances:
             out["instances"] = self.instances
         return out
@@ -217,8 +213,8 @@ class LiCertificate:
 
     @property
     def valid(self) -> bool:
-        return (self.level_preserving and self.condition_a.ok
-                and self.condition_b.ok and self.condition_a.checked > 0)
+        return (self.level_preserving and self.condition_a.passed
+                and not self.condition_b.failures)
 
     def first_violation(self) -> Optional[dict]:
         if not self.level_preserving:
@@ -253,8 +249,8 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     """
     d = t.datum
     lp = h.is_level_preserving()
-    ca = ConditionStats()
-    cb = ConditionStats()
+    ca = ConditionStats(cap=10)
+    cb = ConditionStats(cap=10)
     cert = LiCertificate(i=i, truncation=t.radius, level_preserving=lp,
                          condition_a=ca, condition_b=cb)
     if not lp:
@@ -269,23 +265,23 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
                 ca.skipped += 1
                 continue
             mismatch = None
-            checked = 0
+            points = 0
             for u, expect in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
                 img = h.apply(u)
                 if img is None:
                     continue
-                checked += 1
+                points += 1
                 if img != expect:
                     mismatch = {"x": str(x), "u": str(u), "h(u)": str(img),
                                 "gamma(u)": str(expect)}
                     break
-            if checked == 0:
+            if points == 0:
                 ca.skipped += 1
             else:
                 ca.checked += 1
                 if record_instances:
                     ca.instances.append({"x": str(x), "h(x)": str(y),
-                                         "points": checked})
+                                         "points": points})
                 if mismatch:
                     ca.failures.append(mismatch)
                     return cert
@@ -313,7 +309,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             # image components exist but their connecting path is invisible
             cb.skipped += 1
             continue
-        checked = 0
+        points = 0
         mismatch = None
         for v in X0.vertices():
             w = h.apply(v)
@@ -324,17 +320,17 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             if lhs is None:
                 continue
             rhs = T.act_word(d, tau_img, w)
-            checked += 1
+            points += 1
             if lhs != rhs:
                 mismatch = {"Y": str(y_key), "v": str(v),
                             "h(tau(v))": str(lhs), "tau'(h(v))": str(rhs)}
                 break
-        if checked == 0:
+        if points == 0:
             cb.skipped += 1
         else:
             cb.checked += 1
             if record_instances:
-                cb.instances.append({"Y": str(y_key), "points": checked})
+                cb.instances.append({"Y": str(y_key), "points": points})
             if mismatch:
                 cb.failures.append(mismatch)
                 return cert
@@ -480,21 +476,19 @@ def homomorphism_probe(t: TruncatedTree, g: TreeMap, h: TreeMap,
     Eg = extend_E(t, g, i, lenient=True)
     Eh = extend_E(t, h, i, lenient=True)
     Egh = extend_E(t, gh, i, lenient=True)
-    checked = skipped = 0
-    failures = []
+    tally = Tally(cap=5)
     for vid in t.interior_ids():
         v = t.verts[vid]
         lhs = Egh.apply(v)
         mid = Eh.apply(v)
         rhs = Eg.apply(mid) if mid is not None else None
         if lhs is None or rhs is None:
-            skipped += 1
+            tally.skipped += 1
             continue
-        checked += 1
-        if lhs != rhs:
-            failures.append({"v": str(v), "E(gh)": str(lhs), "E(g)E(h)": str(rhs)})
-    entry = {"ok": not failures and checked > 0, "checked": checked,
-             "skipped": skipped, "failures": failures[:5]}
+        tally.count(None if lhs == rhs else
+                    {"v": str(v), "E(gh)": str(lhs), "E(g)E(h)": str(rhs)})
+    entry = {"ok": tally.passed, "checked": tally.checked,
+             "skipped": tally.skipped, "failures": tally.failures[:tally.cap]}
     return ProbeReport(name="homomorphism", entries=[entry])
 
 
@@ -541,10 +535,11 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
             m = W.delta_mul(d, W.delta_inv(d, delta_j), delta)
             res = _match_conjugate_to_word(t, Eg, m, search_bound)
             if res is not None:
+                word, tally = res
                 found = {"delta_j": W.word_to_json(delta_j),
-                         "witness": W.word_to_json(res[0]),
-                         "witness_length": len(res[0]),
-                         "checked": res[1], "skipped": res[2],
+                         "witness": W.word_to_json(word),
+                         "witness_length": len(word),
+                         "checked": tally.checked, "skipped": tally.skipped,
                          "bound": search_bound}
                 break
         if found:
@@ -566,7 +561,7 @@ def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word,
     level-0 vertex and its image under the conjugated map.  The first
     level-0 vertex whose evaluation chain stays visible supplies the
     candidate; the match is then verified pointwise everywhere computable.
-    Returns (word, checked, skipped) or None.
+    Returns the word and the tally of the verified points, or None.
     """
     d = t.datum
 
@@ -590,19 +585,17 @@ def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word,
         break
     if delta_prime is None or len(delta_prime) > bound:
         return None
-    checked = skipped = 0
+    tally = Tally()
     for vid in t.interior_ids():
         v = t.verts[vid]
         lhs = chain(v)
         if lhs is None:
-            skipped += 1
+            tally.skipped += 1
             continue
         if lhs != T.act_word(d, delta_prime, v):
             return None
-        checked += 1
-    if checked == 0:
-        return None
-    return delta_prime, checked, skipped
+        tally.checked += 1
+    return (delta_prime, tally) if tally.passed else None
 
 
 def select_truncation_level(d: NagaoDatum, t: TruncatedTree,
@@ -782,7 +775,7 @@ def extend_type_preserving(t: TruncatedTree, phi: TreeMap) -> TreeMap:
     preserves levels, and extends greedily; conjugating back extends phi.
     """
     d = t.datum
-    if not T.is_biregular(d):
+    if not d.profile.biregular:
         return greedy_extend(t, phi)
     _check_partial_iso(d, phi.pairs, require_levels=False)
     for v, img in phi.pairs.items():

@@ -46,7 +46,6 @@ class HoroballView:
         lv = self.base[2]
         self._sphere = tuple(vid for vid in self.vertex_ids
                              if self.tree.level(vid) == lv)
-        self._relative: dict[int, tuple[Vertex, ...]] = {}
 
     @property
     def level(self) -> int:
@@ -55,54 +54,45 @@ class HoroballView:
     def horosphere_ids(self) -> tuple[int, ...]:
         return self._sphere
 
+    @T.memoised
     def relative(self, x_vid: int) -> tuple[Vertex, ...]:
         """w_x^-1 . u for every u in vertex_ids (in order), where w_x is the
         address word of the horosphere vertex x; memoised per x."""
-        hit = self._relative.get(x_vid)
-        if hit is None:
-            t = self.tree
-            d = t.datum
-            w_inv = W.delta_inv(d, t.verts[x_vid][0])
-            hit = tuple(T.act_word(d, w_inv, t.verts[u]) for u in self.vertex_ids)
-            self._relative[x_vid] = hit
-        return hit
+        t = self.tree
+        d = t.datum
+        w_inv = W.delta_inv(d, t.verts[x_vid][0])
+        return tuple(T.act_word(d, w_inv, t.verts[u]) for u in self.vertex_ids)
 
     def vertices(self) -> list[Vertex]:
         return [self.tree.verts[vid] for vid in self.vertex_ids]
 
 
+@T.memoised
 def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
     """In-ball part of the horoball of x (level of x must be positive).
 
-    Cached per ball: the same horoballs are consulted over and over by the
-    membership checks.
+    Memoised per ball: the same horoballs are consulted over and over by
+    the membership checks.
     """
     if x[2] == 0:
         raise LevelZeroBase(f"{x} has level 0: horoballs need positive level")
-    hit = t._horoballs.get(x)
-    if hit is None:
-        start = t.vid(x)
-        lv = x[2]
-        ids = T.flood(t, start, lambda u: t.level(u) >= lv)
-        hit = HoroballView(base=x, tree=t, vertex_ids=ids)
-        t._horoballs[x] = hit
-    return hit
+    lv = x[2]
+    ids = T.flood(t, t.vid(x), lambda u: t.level(u) >= lv)
+    return HoroballView(base=x, tree=t, vertex_ids=ids)
 
 
+@T.memoised
 def horoballs(t: TruncatedTree, i: int) -> tuple[HoroballView, ...]:
     """The in-ball horoballs of the level-i vertices, one per horosphere,
-    ordered by the least vertex id on each horosphere.  Cached per ball."""
-    hit = t._level_horoballs.get(i)
-    if hit is None:
-        out = []
-        seen: set[int] = set()
-        for vid in range(t.n):
-            if t.level(vid) == i and vid not in seen:
-                hb = horoball(t, t.verts[vid])
-                seen.update(hb.horosphere_ids())
-                out.append(hb)
-        hit = t._level_horoballs[i] = tuple(out)
-    return hit
+    ordered by the least vertex id on each horosphere.  Memoised per ball."""
+    out = []
+    seen: set[int] = set()
+    for vid in range(t.n):
+        if t.level(vid) == i and vid not in seen:
+            hb = horoball(t, t.verts[vid])
+            seen.update(hb.horosphere_ids())
+            out.append(hb)
+    return tuple(out)
 
 
 def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:
@@ -111,22 +101,23 @@ def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:
 
 
 def in_same_horosphere(d: NagaoDatum, x: Vertex, y: Vertex) -> bool:
-    """Exact symbolic test: y lies on the horosphere of x.
-
-    After translating x to the standard position x_{i,s}, the horosphere is
-    the orbit of the single-syllable words at ray s supported above i.
-    """
+    """Exact symbolic test: y lies on the horosphere of x."""
     if x[2] != y[2] or x[2] == 0:
         return False
-    if x == y:
-        return True
+    return x == y or _standard_offset(d, x, y) is not None
+
+
+def _standard_offset(d: NagaoDatum, x: Vertex, y: Vertex):
+    """The address word of y after translating x = w.x_{i,s} to the
+    standard position x_{i,s}, when that word is the single syllable at ray
+    s supported above i (exactly when y lies on the horosphere of x, for
+    same-level x and y); None otherwise."""
     w, s, i = x
-    y2 = T.act(d, (d.ident0, W.delta_inv(d, w)), y)
-    wy, sy, _ = y2
-    if sy != s or len(wy) != 1:
-        return False
-    ss, pay = wy[0]
-    return ss == s and all(j > i for j, _ in pay)
+    wy, sy, _ = T.act_word(d, W.delta_inv(d, w), y)
+    if (sy == s and len(wy) == 1 and wy[0][0] == s
+            and all(j > i for j, _ in wy[0][1])):
+        return wy
+    return None
 
 
 @dataclass
@@ -208,13 +199,11 @@ class ComponentGraph:
         raise NotInGraph(f"no in-ball path between {a} and {b}")
 
 
+@T.memoised
 def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
     """All level-<=i components meeting the ball, with horosphere edges."""
     if i < 1:
         raise LevelTooHigh("component graphs need a level bound i >= 1")
-    hit = t._component_graphs.get(i)
-    if hit is not None:
-        return hit
     comp_of_vid: dict[int, Vertex] = {}
     components: dict[Vertex, Component] = {}
     for vid in range(t.n):
@@ -244,7 +233,5 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
                 edges[kb].append(ka)
     for key in edges:
         edges[key].sort(key=T.address_key)
-    g = ComponentGraph(i=i, tree=t, components=components, edges=edges,
-                       edge_witness=witness, comp_of_vid=comp_of_vid)
-    t._component_graphs[i] = g
-    return g
+    return ComponentGraph(i=i, tree=t, components=components, edges=edges,
+                          edge_witness=witness, comp_of_vid=comp_of_vid)

@@ -1,8 +1,10 @@
-"""JSON and DOT serialization for addresses, trees, graphs and reports."""
+"""JSON and DOT serialization for addresses, trees, graphs and reports,
+and the shared check tally of the reports."""
 
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass, field
 from typing import Any
 
 from . import words as W
@@ -66,10 +68,38 @@ def component_graph_to_dot(g) -> str:
 
 def dump_json(obj: Any, path: str) -> None:
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(dumps_canonical(obj))
 
 
 def dumps_canonical(obj: Any) -> str:
     """Deterministic JSON text: fixed key order, no whitespace drift."""
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+@dataclass(kw_only=True)
+class Tally:
+    """Checked and skipped instance counts of one check family, with one
+    entry per failed instance; reports show at most `cap` entries.
+
+    The paper's conditions are checked only on the instances a truncation
+    shows, so every check family keeps this same bookkeeping.
+    """
+
+    cap: int = 20
+    checked: int = 0
+    skipped: int = 0
+    failures: list[dict] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures and self.checked > 0
+
+    def count(self, failure: dict | None = None) -> None:
+        """Count one checked instance, failed when `failure` is given."""
+        self.checked += 1
+        if failure is not None:
+            self.failures.append(failure)
+
+    def to_json(self) -> dict:
+        return {"checked": self.checked, "passed": self.passed,
+                "failures": self.failures[:self.cap]}

@@ -15,25 +15,18 @@ from . import tree as T
 from . import twincodist as TC
 from . import words as W
 from .datum import NagaoDatum
+from .serialize import Tally
 
 SUITE_NAMES = ("degrees", "transitivity", "horoball", "transport", "li", "codist")
 
 
 @dataclass
-class SuiteReport:
+class SuiteReport(Tally):
     suite: str
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
     info: dict = field(default_factory=dict)
 
-    @property
-    def passed(self) -> bool:
-        return not self.failures and self.checked > 0
-
     def to_json(self) -> dict:
-        return {"suite": self.suite, "checked": self.checked,
-                "passed": self.passed, "failures": self.failures[:20],
-                "info": self.info}
+        return {"suite": self.suite, **super().to_json(), "info": self.info}
 
 
 def suite_degrees(d: NagaoDatum, radius: int) -> SuiteReport:

@@ -35,15 +35,12 @@ def delta_xy(d: NagaoDatum, x: Vertex, y: Vertex) -> Word:
     if x[2] != y[2] or x[2] == 0:
         raise NotSameHorosphere(
             f"levels {x[2]} and {y[2]} must agree and be positive")
-    w, s, i = x
     if x == y:
         return W.EMPTY
-    y2 = T.act_word(d, W.delta_inv(d, w), y)
-    wy, sy, _ = y2
-    valid = (sy == s and len(wy) == 1 and wy[0][0] == s
-             and all(j > i for j, _ in wy[0][1]))
-    if not valid:
+    wy = H._standard_offset(d, x, y)
+    if wy is None:
         raise NotSameHorosphere(f"{y} is not on the horosphere of {x}")
+    w = x[0]
     return W.delta_mul(d, W.delta_mul(d, w, wy), W.delta_inv(d, w))
 
 

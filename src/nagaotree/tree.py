@@ -13,11 +13,13 @@ BFS truncations.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from . import words as W
 from .datum import NagaoDatum
 from .errors import LevelTooHigh, NonCanonicalAddress, NotInTruncation
+from .serialize import vertex_to_json
 from .words import Gamma, Word
 
 Vertex = tuple  # (word, s, i)
@@ -30,10 +32,6 @@ def base_vertex() -> Vertex:
 def ray_vertex(i: int, s: int = 1) -> Vertex:
     """The standard-ray vertex x_{i,s} (x_i when s = 1)."""
     return (W.EMPTY, 0, 0) if i == 0 else (W.EMPTY, s, i)
-
-
-def level(v: Vertex) -> int:
-    return v[2]
 
 
 def address_key(v: Vertex):
@@ -126,11 +124,6 @@ class TruncatedTree:
     parent: list[int]
     adj: list[list[int]]
 
-    def __post_init__(self):
-        self._horoballs: dict = {}
-        self._level_horoballs: dict = {}
-        self._component_graphs: dict = {}
-
     @property
     def n(self) -> int:
         return len(self.verts)
@@ -157,7 +150,6 @@ class TruncatedTree:
         return len(self.adj[vid])
 
     def to_json(self) -> dict:
-        from .serialize import vertex_to_json
         edges = sorted(
             (a, b) for a in range(self.n) for b in self.adj[a] if a < b
         )
@@ -173,12 +165,27 @@ class TruncatedTree:
         }
 
 
-def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
-    """BFS closure of `center` to distance `radius`; cached per datum."""
-    key = (center, radius)
-    hit = d._balls.get(key)
-    if hit is not None:
+def memoised(fn):
+    """Keep the results of fn(owner, *args) in owner._memo, one table per
+    function, for as long as the owner lives."""
+
+    @functools.wraps(fn)
+    def cached(owner, *args):
+        try:
+            return owner._memo[fn][args]
+        except AttributeError:
+            owner._memo = {}
+        except KeyError:
+            pass
+        hit = owner._memo.setdefault(fn, {})[args] = fn(owner, *args)
         return hit
+
+    return cached
+
+
+@memoised
+def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
+    """BFS closure of `center` to distance `radius`; memoised per datum."""
     validate_address(d, center)
     verts = [center]
     index = {center: 0}
@@ -204,10 +211,8 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
                     nxt.append(uid)
                 # an already-seen neighbor is the BFS parent: edge recorded
         frontier = nxt
-    t = TruncatedTree(datum=d, center=center, radius=radius, verts=verts,
-                      index=index, dist=dist, parent=parent, adj=adj)
-    d._balls[key] = t
-    return t
+    return TruncatedTree(datum=d, center=center, radius=radius, verts=verts,
+                         index=index, dist=dist, parent=parent, adj=adj)
 
 
 def distance(t: TruncatedTree, a: Vertex, b: Vertex) -> int:
@@ -236,11 +241,6 @@ def geodesic(t: TruncatedTree, a: Vertex, b: Vertex) -> list[Vertex]:
         up_b.append(ib)
     path = up_a + list(reversed(up_b[:-1]))
     return [t.verts[i] for i in path]
-
-
-def is_biregular(d: NagaoDatum) -> bool:
-    """True iff the degree sequence depends only on level parity."""
-    return d.profile.biregular
 
 
 @dataclass

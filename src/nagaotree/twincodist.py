@@ -8,10 +8,11 @@ the negative tree itself is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import tree as T
 from . import words as W
+from .serialize import Tally, vertex_to_json
 from .tree import TruncatedTree, Vertex
 
 
@@ -27,7 +28,6 @@ class CodistanceTable:
         return self.values[v]
 
     def to_json(self) -> dict:
-        from .serialize import vertex_to_json
         return {
             "base": self.base_tag,
             "values": [
@@ -44,28 +44,14 @@ def synthesize_codistance(t: TruncatedTree) -> CodistanceTable:
                            values={v: v[2] for v in t.verts})
 
 
-@dataclass
-class CodistReport:
-    checked: int = 0
-    failures: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures and self.checked > 0
-
-    def to_json(self) -> dict:
-        return {"checked": self.checked, "passed": self.passed,
-                "failures": self.failures[:10]}
-
-
-def verify_codist(table: CodistanceTable, t: TruncatedTree) -> CodistReport:
+def verify_codist(table: CodistanceTable, t: TruncatedTree) -> Tally:
     """One-sided codistance axioms at every interior vertex.
 
     With m the value at x: every neighbor has value m - 1 or m + 1; when
     m > 0 exactly one neighbor has value m + 1; when m = 0 all neighbors
     have value 1 (no uniqueness constraint).
     """
-    rep = CodistReport()
+    rep = Tally(cap=10)
     for vid in t.interior_ids():
         v = t.verts[vid]
         m = table.values[v]
@@ -86,9 +72,7 @@ def verify_codist(table: CodistanceTable, t: TruncatedTree) -> CodistReport:
         if bad is None and m == 0 and ups != len(t.adj[vid]):
             bad = {"x": str(v), "m": 0, "ups": ups,
                    "axiom": "all neighbors ascend from an opposite vertex"}
-        rep.checked += 1
-        if bad:
-            rep.failures.append(bad)
+        rep.count(bad)
     return rep
 
 

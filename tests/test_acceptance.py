@@ -238,10 +238,10 @@ def test_criterion_9_codistance():
 
 def test_criterion_10_biregularity_dichotomy(d3):
     with Criterion(10, "biregularity dichotomy and level recovery", 5):
-        assert T.is_biregular(D.builtin("D0"))
-        assert T.is_biregular(D.builtin("D1"))
-        assert T.is_biregular(D.builtin("D2"))
-        assert not T.is_biregular(d3)
+        assert D.builtin("D0").profile.biregular
+        assert D.builtin("D1").profile.biregular
+        assert D.builtin("D2").profile.biregular
+        assert not d3.profile.biregular
         t = T.ball(d3, T.base_vertex(), 6)
         rec = T.level_from_degrees(t)
         assert not rec.ambiguous

@@ -100,6 +100,29 @@ def test_suite_failure_exit_code(monkeypatch, capsys):
     assert payload["reports"][0]["failures"]
 
 
+def _refused(capsys, *argv):
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_suite_unknown_name_exit_2(capsys):
+    code, out, err = _refused(capsys, "suite", "--datum", "D0",
+                              "--suites", "degrees,foo")
+    assert code == 2 and out == ""
+    assert err.startswith("invalid config: unknown suites foo;")
+
+
+def test_suite_negative_samples_exit_2(capsys):
+    # a negative count used to draw from an empty range and pass the sweep
+    code, out, err = _refused(capsys, "suite", "--datum", "D0", "--radius",
+                              "3", "--suites", "transport", "--samples", "-3")
+    assert code == 2 and out == ""
+    assert err == "invalid config: samples must be nonnegative\n"
+    with pytest.raises(ValueError):
+        cli.RunConfig(samples=-1)
+
+
 def test_reports_byte_identical(capsys):
     _, out1 = run(capsys, "suite", "--datum", "D3", "--radius", "4",
                   "--suites", "degrees,transitivity,codist", "--seed", "5")

@@ -247,10 +247,10 @@ def test_uniform_piece_d3_degree_multisets(d3):
 
 
 def test_biregularity_dichotomy():
-    assert T.is_biregular(D.builtin("D0"))
-    assert T.is_biregular(D.builtin("D1"))
-    assert T.is_biregular(D.builtin("D2"))
-    assert not T.is_biregular(D.builtin("D3"))
+    assert D.builtin("D0").profile.biregular
+    assert D.builtin("D1").profile.biregular
+    assert D.builtin("D2").profile.biregular
+    assert not D.builtin("D3").profile.biregular
 
 
 def _check_recovery(t, count, ambiguous=False):
