@@ -1,10 +1,10 @@
 """Byte-level pins of every CLI report and of three failure-path reports.
 
-The sha256 values are those of the reports before the report classes were
-merged into one check tally; a change that keeps them keeps every report
-byte-identical.  The failure paths overflow the failure caps: 21 transport
-failures against a suite cap of 20, and 49 codistance failures against a cap
-of 10.  D2 `extend` is pinned by `test_cli.test_extend_identity_d2_r3`.
+A change to the report classes that keeps these sha256 values keeps every
+report byte-identical.  The failure paths overflow the failure caps: 21
+transport failures against a suite cap of 20, and 49 codistance failures
+against a cap of 10.  D2 `extend` is pinned by
+`test_cli.test_extend_identity_d2_r3`.
 """
 
 import hashlib
