@@ -45,6 +45,8 @@ class RunConfig:
             raise ValueError("radius must be nonnegative")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
+        if not self.suites:
+            raise ValueError("no suite selected")
         unknown = [s for s in self.suites if s not in SU.SUITE_NAMES]
         if unknown:
             raise ValueError(f"unknown suites {', '.join(unknown)}; "
@@ -171,42 +173,46 @@ def cmd_codist(cfg: RunConfig, d: D.NagaoDatum) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, taking only the options it reads; an
+    absent option keeps its RunConfig default."""
     p = argparse.ArgumentParser(
         prog="nagaotree",
         description="truncated trees of directly split Nagao data")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--datum", default="D0",
+    def command(name, help):
+        sp = sub.add_parser(name, help=help, argument_default=argparse.SUPPRESS)
+        sp.add_argument("--datum",
                         help="builtin name (D0..D3) or datum file path")
-        sp.add_argument("--radius", type=int, default=4)
-        sp.add_argument("--level", type=int, default=1)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--samples", type=int, default=0)
-        sp.add_argument("--out", default="")
-        sp.add_argument("--format", choices=("json", "dot"), default="json")
+        sp.add_argument("--radius", type=int)
+        sp.add_argument("--out")
+        return sp
 
-    common(sub.add_parser("validate", help="validate a datum"))
-    common(sub.add_parser("tree", help="build and export a ball"))
-    sp = sub.add_parser("suite", help="run invariant suites")
-    common(sp)
-    sp.add_argument("--suites", default=",".join(SU.SUITE_NAMES),
-                    help="comma-separated subset of "
-                         + ",".join(SU.SUITE_NAMES))
-    sp = sub.add_parser("extend", help="run the density pipeline on a map file")
-    common(sp)
+    def sampled(sp):
+        sp.add_argument("--seed", type=int)
+        sp.add_argument("--samples", type=int)
+
+    command("validate", "validate a datum")
+    sp = command("tree", "build and export a ball")
+    sp.add_argument("--format", choices=("json", "dot"))
+    sp = command("suite", "run invariant suites")
+    sp.add_argument("--level", type=int)
+    sampled(sp)
+    sp.add_argument("--suites", help="comma-separated subset of "
+                                     + ",".join(SU.SUITE_NAMES))
+    sp = command("extend", "run the density pipeline on a map file")
+    sampled(sp)
     sp.add_argument("--phi", required=True, help="JSON file of vertex pairs")
-    common(sub.add_parser("codist", help="synthesize and verify codistance"))
+    command("codist", "synthesize and verify codistance")
     return p
 
 
 def config_from_args(args) -> RunConfig:
-    suites = tuple(s for s in getattr(args, "suites",
-                                      ",".join(SU.SUITE_NAMES)).split(",") if s)
-    return RunConfig(datum=args.datum, radius=args.radius, level=args.level,
-                     suites=suites, samples=args.samples, seed=args.seed,
-                     out=args.out, format=args.format,
-                     phi=getattr(args, "phi", ""))
+    opts = vars(args).copy()
+    del opts["command"]
+    if "suites" in opts:
+        opts["suites"] = tuple(s for s in opts["suites"].split(",") if s)
+    return RunConfig(**opts)
 
 
 def main(argv=None) -> int:

@@ -105,7 +105,3 @@ class CannotExtendInTruncation(TruncationExceeded):
 
 class TypeMismatch(NagaoError):
     pass
-
-
-class CannotTransportInTruncation(TruncationExceeded):
-    pass

@@ -9,6 +9,12 @@ component graph.  The result is the unique extension satisfying the two
 membership conditions that define the level-i automorphism group (horoball
 restriction, transporter conjugation).
 
+Greedy extension grows an isomorphism between subtrees over the ball: the
+unmatched neighbors of each matched vertex take the unused neighbors of its
+image, in canonical order and within one partner class.  The class is the
+level for level-preserving extension, and the vertex type for
+type-preserving extension of biregular data.
+
 Probes (homomorphism, commensuration) evaluate group-theoretic identities
 pointwise on the truncation and report exactly what was checked; they are
 sample-based evidence, not certificates.
@@ -18,16 +24,17 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Optional
+from operator import itemgetter
+from typing import Callable, Optional
 
 from . import horo as H
 from . import transport as TR
 from . import tree as T
+from . import twincodist as TC
 from . import words as W
 from .datum import NagaoDatum
-from .errors import (CannotExtendInTruncation, CannotTransportInTruncation,
-                     NotInGraph, NotIsomorphism, NotLevelPreserving,
-                     TruncationExceeded, TypeMismatch)
+from .errors import (CannotExtendInTruncation, NotInGraph, NotIsomorphism,
+                     NotLevelPreserving, TruncationExceeded, TypeMismatch)
 from .serialize import Tally, vertex_to_json
 from .tree import TruncatedTree, Vertex
 from .words import Gamma, Word
@@ -75,7 +82,8 @@ class TreeMap:
         return all(v[2] == img[2] for v, img in self.pairs.items())
 
     def is_type_preserving(self) -> bool:
-        return all(v[2] % 2 == img[2] % 2 for v, img in self.pairs.items())
+        return all(TC.vertex_type(v) == TC.vertex_type(img)
+                   for v, img in self.pairs.items())
 
     def compose(self, inner: "TreeMap") -> "TreeMap":
         """self o inner, on the domain where the chain is defined."""
@@ -142,9 +150,18 @@ def greedy_extend(t: TruncatedTree, psi: TreeMap,
     the in-ball part of the level-<=bound component of the domain is covered
     and all matching stays below the bound.
     """
+    _check_partial_iso(t.datum, psi.pairs, require_levels=True)
+    return _greedy_match(t, psi.pairs, itemgetter(2), level_bound)
+
+
+def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
+                  partner_class: Callable[[Vertex], int],
+                  level_bound: Optional[int] = None) -> TreeMap:
+    """Grow a partial isomorphism over the ball, breadth first in canonical
+    address order: each unmatched neighbor of a matched vertex v takes the
+    first unused neighbor of v's image with the same partner class."""
     d = t.datum
-    _check_partial_iso(d, psi.pairs, require_levels=True)
-    match: dict[Vertex, Vertex] = dict(psi.pairs)
+    match: dict[Vertex, Vertex] = dict(pairs)
     used = set(match.values())
     for v in match:
         if v not in t:
@@ -165,17 +182,17 @@ def greedy_extend(t: TruncatedTree, psi: TreeMap,
                   if level_bound is None or u[2] <= level_bound]
         img_nbrs = [u for u in T.neighbors(d, img)
                     if level_bound is None or u[2] <= level_bound]
-        by_level: dict[int, list[Vertex]] = {}
+        by_class: dict[int, list[Vertex]] = {}
         for u in img_nbrs:
             if u not in used:
-                by_level.setdefault(u[2], []).append(u)
-        for us in by_level.values():
+                by_class.setdefault(partner_class(u), []).append(u)
+        for us in by_class.values():
             us.sort(key=T.address_key)
         for u in sorted((u for u in v_nbrs if u not in match), key=T.address_key):
-            partners = by_level.get(u[2])
+            partners = by_class.get(partner_class(u))
             if not partners:
                 raise CannotExtendInTruncation(
-                    f"no level-{u[2]} partner for {u} at frontier of {v}")
+                    f"no partner for {u} at frontier of {v}")
             w = partners.pop(0)
             match[u] = w
             used.add(w)
@@ -492,13 +509,8 @@ def homomorphism_probe(t: TruncatedTree, g: TreeMap, h: TreeMap,
     return ProbeReport(name="homomorphism", entries=[entry])
 
 
-def _delta_i_words(d: NagaoDatum, i: int, max_len: int) -> list[Word]:
-    return W.enumerate_words(d, max_len, list(range(1, i + 1)))
-
-
 def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
-                         i: int, search_bound: int = 6,
-                         fallback_len: int = 2) -> ProbeReport:
+                         i: int, search_bound: int = 6) -> ProbeReport:
     """Per-sample commensuration evidence for the extension Eg.
 
     For each sampled word delta, the probe finds a coset shift delta_j in
@@ -506,16 +518,16 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
     the visible ball with the action of an explicitly produced word delta'.
     The canonical candidate for delta_j is tau * delta, where tau transports
     the component delta.Y_i back to Y_i (this mirrors the membership
-    argument); a few short fallback shifts are tried after it.  Success is
-    per sample; nothing here certifies finite index.
+    argument); the level-<=i shifts of length <= 2 are tried after it.
+    Success is per sample; nothing here certifies finite index.
     """
     d = t.datum
     graph = H.component_graph(t, i)
     base = T.base_vertex()
     y_key = graph.comp_of_vid[t.vid(base)]
     entries = []
-    fallback_invs = [W.delta_inv(d, sigma)
-                     for sigma in _delta_i_words(d, i, fallback_len)]
+    fallback_invs = [W.delta_inv(d, sigma) for sigma
+                     in W.enumerate_words(d, 2, list(range(1, i + 1)))]
     for delta in samples:
         entry = {"sample": W.word_to_json(delta), "ok": False}
         img = T.act_word(d, delta, base)
@@ -646,7 +658,7 @@ class PipelineReport:
 
 
 def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
-                     n_samples: int = 8, seed: int = 0, search_bound: int = 6,
+                     n_samples: int = 8, seed: int = 0,
                      record_instances: bool = False) -> tuple[TreeMap, PipelineReport]:
     """Extend a level-preserving isomorphism between finite subtrees to a
     level-preserving automorphism of the truncation, with evidence.
@@ -672,7 +684,7 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     pool = [w for w in W.enumerate_words(d, 2, list(range(1, i + 2)))
             if w and T.act_word(d, w, T.base_vertex()) in t]
     samples = [pool[rng.randrange(len(pool))] for _ in range(n_samples)] if pool else []
-    comm = commensuration_probe(t, Eg, samples, i, search_bound=search_bound)
+    comm = commensuration_probe(t, Eg, samples, i)
     report = PipelineReport(selected_i=i, truncation=radius, certificate=cert,
                             commensuration=comm)
     return Eg, report
@@ -681,165 +693,26 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
 # -- type-preserving extension (biregular case) -------------------------------
 
 
-class _TypeGreedy:
-    """Symbolic type-preserving greedy matching for biregular data.
-
-    Grows a partial isomorphism layer by layer from seed pairs; in a
-    biregular tree the per-type degrees agree, so every frontier can always
-    be matched.  Purely symbolic: no ball is consulted.
-    """
-
-    def __init__(self, d: NagaoDatum, seeds: dict[Vertex, Vertex],
-                 max_layers: int):
-        self.d = d
-        self.match = dict(seeds)
-        self.used = set(self.match.values())
-        self.frontier = sorted(self.match, key=T.address_key)
-        self.layers_left = max_layers
-        for v, img in seeds.items():
-            if v[2] % 2 != img[2] % 2:
-                raise TypeMismatch(f"seed {v} -> {img} changes the type")
-
-    def _expand_layer(self) -> None:
-        if self.layers_left <= 0:
-            raise CannotTransportInTruncation(
-                "type-preserving transport exceeded its growth budget")
-        self.layers_left -= 1
-        d = self.d
-        new_frontier = []
-        for v in self.frontier:
-            img = self.match[v]
-            partners = sorted((u for u in T.neighbors(d, img)
-                               if u not in self.used), key=T.address_key)
-            todo = sorted((u for u in T.neighbors(d, v)
-                           if u not in self.match), key=T.address_key)
-            if len(todo) > len(partners):
-                raise CannotTransportInTruncation(
-                    f"degree mismatch while matching around {v}")
-            for u, w in zip(todo, partners):
-                self.match[u] = w
-                self.used.add(w)
-                new_frontier.append(u)
-        self.frontier = new_frontier
-
-    def ensure_domain(self, vertices) -> None:
-        while any(v not in self.match for v in vertices):
-            self._expand_layer()
-
-    def ensure_image(self, vertices) -> None:
-        while any(v not in self.used for v in vertices):
-            self._expand_layer()
-
-    def apply(self, v: Vertex) -> Vertex:
-        self.ensure_domain([v])
-        return self.match[v]
-
-    def inverse_apply(self, v: Vertex) -> Vertex:
-        self.ensure_image([v])
-        for src, img in self.match.items():
-            if img == v:
-                return src
-        raise CannotTransportInTruncation(f"{v} not in the transported image")
-
-
-def _depths_within(d: NagaoDatum, vertices: set[Vertex], v: Vertex) -> dict:
-    """Tree distances from v inside the vertex set, by BFS."""
-    return T.bfs_depths([v], lambda u: (w for w in T.neighbors(d, u)
-                                        if w in vertices))
-
-
-def _ball_center(d: NagaoDatum, vertices: set[Vertex]) -> tuple[Vertex, int]:
-    """Center and radius of a vertex set that should be a ball B_s(z)."""
-    ecc = {}
-    for v in vertices:
-        depth = _depths_within(d, vertices, v)
-        if len(depth) != len(vertices):
-            raise NotIsomorphism("vertex set is not connected")
-        ecc[v] = max(depth.values())
-    center = min(ecc, key=lambda v: (ecc[v], T.address_key(v)))
-    s = ecc[center]
-    # must be exactly the radius-s ball around the center
-    expect = T.bfs_depths([center], lambda u: T.neighbors(d, u), max_depth=s)
-    if expect.keys() != vertices:
-        raise NotIsomorphism("domain is not a full ball around its center")
-    return center, s
-
-
 def extend_type_preserving(t: TruncatedTree, phi: TreeMap) -> TreeMap:
-    """Extend a type-preserving isomorphism between same-type balls.
+    """Extend a type-preserving isomorphism between subtrees to the ball.
 
     Biregular trees only (otherwise levels are forced by degrees and the
-    level-preserving machinery applies: the input is delegated).  Both balls
-    are transported onto a deep segment of the standard ray by type-greedy
-    maps; the conjugated map fixes two adjacent ray vertices, hence
-    preserves levels, and extends greedily; conjugating back extends phi.
+    level-preserving machinery applies: the input is delegated).  The input
+    must be an isomorphism between connected subtrees whose domain lies in
+    the ball; frontier vertices are matched greedily by vertex type, in
+    canonical address order, so the images may leave the ball.
+
+    The matcher never runs out of partners: in biregular data the degree of
+    a vertex depends only on its type, and every neighbor of v, like every
+    neighbor of phi(v), has the type opposite to v's.  A partial isomorphism
+    between subtrees also reflects adjacency, so v and phi(v) have equally
+    many matched neighbors, hence equally many unmatched and unused ones.
     """
     d = t.datum
     if not d.profile.biregular:
         return greedy_extend(t, phi)
     _check_partial_iso(d, phi.pairs, require_levels=False)
     for v, img in phi.pairs.items():
-        if v[2] % 2 != img[2] % 2:
+        if TC.vertex_type(v) != TC.vertex_type(img):
             raise TypeMismatch(f"{v} -> {img} changes the vertex type")
-    z1, s1 = _ball_center(d, set(phi.pairs))
-    z2, s2 = _ball_center(d, set(phi.pairs.values()))
-    if s1 != s2:
-        raise NotIsomorphism("domain and image balls have different radii")
-    if z1[2] % 2 != z2[2] % 2:
-        raise TypeMismatch(f"centers {z1} and {z2} have different types")
-    s = max(s1, 1)
-    if s1 == 0:
-        # upgrade the single pair with one matched neighbor, canonically
-        u1 = min(T.neighbors(d, z1), key=T.address_key)
-        u2 = min(T.neighbors(d, z2), key=T.address_key)
-        phi = TreeMap(d, {**phi.pairs, u1: u2})
-
-    # terminal vertex of the domain ball, canonically chosen
-    dom = set(phi.pairs)
-    from_z1 = _depths_within(d, dom, z1)
-    v1 = max(dom, key=lambda v: (from_z1[v], T.address_key(v)))
-    u1 = next(u for u in T.neighbors(d, v1) if u in dom)
-    v2 = phi.pairs[v1]
-    u2 = phi.pairs[u1]
-    n = 2 * s if (2 * s) % 2 == v1[2] % 2 else 2 * s + 1
-    if n + 2 * s + 1 > t.radius:
-        raise CannotTransportInTruncation(
-            f"need radius >= {n + 2 * s + 1} to transport radius-{s} balls")
-    xn = T.ray_vertex(n)
-    xn1 = T.ray_vertex(n - 1)
-    budget = 4 * (t.radius + 1)
-    f1 = _TypeGreedy(d, {v1: xn, u1: xn1}, budget)
-    f2 = _TypeGreedy(d, {v2: xn, u2: xn1}, budget)
-    f1.ensure_domain(dom)
-    f2.ensure_domain(set(phi.pairs.values()))
-    psi_pairs = {}
-    for v in dom:
-        psi_pairs[f1.match[v]] = f2.match[phi.pairs[v]]
-    for v, img in psi_pairs.items():
-        if v[2] != img[2]:
-            raise NotLevelPreserving(
-                f"conjugated map fails to preserve levels at {v}")
-    for v in psi_pairs:
-        if v not in t:
-            raise CannotTransportInTruncation(
-                "transported ball leaves the truncation")
-    g = greedy_extend(t, TreeMap(d, psi_pairs))
-    # conjugate back on a neighborhood of the original domain
-    m = t.radius - n - s
-    if m < s:
-        raise CannotTransportInTruncation(
-            f"radius {t.radius} leaves no room to conjugate back")
-    out = {}
-    # the ball vertices within distance m of the domain center
-    for vid in T.bfs_depths([t.vid(z1)], t.adj.__getitem__, max_depth=m):
-        v = t.verts[vid]
-        a = f1.apply(v)
-        b = g.apply(a)
-        if b is None:
-            continue
-        out[v] = f2.inverse_apply(b)
-    result = TreeMap(d, out)
-    for v, img in phi.pairs.items():
-        if result.apply(v) != img:
-            raise NotIsomorphism("extension does not restrict to the input")
-    return result
+    return _greedy_match(t, phi.pairs, TC.vertex_type)

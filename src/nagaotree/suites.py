@@ -46,18 +46,18 @@ def suite_degrees(d: NagaoDatum, radius: int) -> SuiteReport:
     return rep
 
 
-def suite_transitivity(d: NagaoDatum, radius: int, max_j: int = 3) -> SuiteReport:
+def suite_transitivity(d: NagaoDatum, radius: int) -> SuiteReport:
     """Simple transitivity of U_i x ... x U_j on the down-sets M_{i,j}.
 
     M_{i,j} is the set of level-(i-1) vertices at distance j - i + 1 from
     the standard ray vertex x_j; the product of root groups between i and j
-    must act on it freely and transitively.
+    must act on it freely and transitively.  Checked for j <= 3.
     """
     rep = SuiteReport("transitivity")
     t = T.ball(d, T.base_vertex(), radius)
     # M_{i,j} reaches distance 2j - i + 1 from the base vertex; only spans
     # fully visible in the ball are checked
-    max_j = min(max_j, radius // 2)
+    max_j = min(3, radius // 2)
     rep.info["max_j"] = max_j
     for j in range(1, max_j + 1):
         xj = T.ray_vertex(j)

@@ -123,6 +123,26 @@ def test_suite_negative_samples_exit_2(capsys):
         cli.RunConfig(samples=-1)
 
 
+def test_suite_empty_selection_exit_2(capsys):
+    # all() over no reports used to pass the run
+    code, out, err = _refused(capsys, "suite", "--datum", "D0", "--radius",
+                              "2", "--suites", ",")
+    assert code == 2 and out == ""
+    assert err == "invalid config: no suite selected\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "suite", "extend", "codist"])
+def test_ignored_option_exit_2(command, capsys):
+    # only tree writes dot; the other commands do not take --format
+    extra = ["--phi", "phi.json"] if command == "extend" else []
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--datum", "D0", "--format", "dot", *extra])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --format dot" in captured.err
+
+
 def test_reports_byte_identical(capsys):
     _, out1 = run(capsys, "suite", "--datum", "D3", "--radius", "4",
                   "--suites", "degrees,transitivity,codist", "--seed", "5")

@@ -324,6 +324,32 @@ def test_type_preserving_rejects_type_mismatch(d0, ball_d0_6):
         E.extend_type_preserving(ball_d0_6, E.TreeMap(d0, pairs))
 
 
+def test_type_preserving_extends_radius_two_ball(d0):
+    # the radius-2 ball of x0 onto that of x2, matched layer by layer: each
+    # vertex's new neighbors go to its image's free neighbors in address order
+    t = T.ball(d0, T.base_vertex(), 8)
+    pairs = {T.base_vertex(): T.ray_vertex(2)}
+    layer = list(pairs)
+    for _ in range(2):
+        nxt = []
+        for v in layer:
+            used = set(pairs.values())
+            new = sorted((u for u in T.neighbors(d0, v) if u not in pairs),
+                         key=T.address_key)
+            free = sorted((u for u in T.neighbors(d0, pairs[v])
+                           if u not in used), key=T.address_key)
+            pairs.update(zip(new, free))
+            nxt += new
+        layer = nxt
+    assert len(pairs) == 10
+    out = E.extend_type_preserving(t, E.TreeMap(d0, pairs))
+    E._check_partial_iso(d0, out.pairs, require_levels=False)
+    assert out.is_type_preserving()
+    assert not out.is_level_preserving()
+    assert all(out.pairs[v] == img for v, img in pairs.items())
+    assert all(v in out.pairs for v in t.verts)
+
+
 def test_type_preserving_delegates_when_not_biregular(d3):
     t = T.ball(d3, T.base_vertex(), 6)
     ball1 = [T.base_vertex()] + T.neighbors(d3, T.base_vertex())
