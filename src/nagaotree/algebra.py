@@ -132,26 +132,18 @@ def trivial_subgroup(parent: FiniteGroup) -> SubgroupHandle:
 
 
 def generated_subgroup(parent: FiniteGroup, gens: Iterable[int]) -> SubgroupHandle:
-    """Closure of a generating set, by brute force."""
+    """Closure of the identity under right multiplication by the generators:
+    in a finite group this is the generated subgroup."""
+    gens = list(gens)
     elems = {parent.identity}
-    frontier = list(gens)
+    frontier = [parent.identity]
     while frontier:
-        g = frontier.pop()
-        if g in elems:
-            continue
-        elems.add(g)
-        frontier.extend(parent.mul(g, h) for h in list(elems))
-        frontier.append(parent.inv(g))
-    # saturate products between all current members
-    changed = True
-    while changed:
-        changed = False
-        for a in list(elems):
-            for b in list(elems):
-                p = parent.mul(a, b)
-                if p not in elems:
-                    elems.add(p)
-                    changed = True
+        a = frontier.pop()
+        for g in gens:
+            p = parent.mul(a, g)
+            if p not in elems:
+                elems.add(p)
+                frontier.append(p)
     return SubgroupHandle(parent=parent, members=tuple(sorted(elems)))
 
 

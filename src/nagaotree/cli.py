@@ -172,9 +172,10 @@ def cmd_codist(cfg: RunConfig, d: D.NagaoDatum) -> int:
     return EXIT_PASS if rep.passed else EXIT_PROBE_FAILURE
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """One subparser per command, taking only the options it reads; an
-    absent option keeps its RunConfig default."""
+    absent option keeps its RunConfig default.  Returns the parser and the
+    subparsers by command name."""
     p = argparse.ArgumentParser(
         prog="nagaotree",
         description="truncated trees of directly split Nagao data")
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     sampled(sp)
     sp.add_argument("--phi", required=True, help="JSON file of vertex pairs")
     command("codist", "synthesize and verify codistance")
-    return p
+    return p, sub.choices
 
 
 def config_from_args(args) -> RunConfig:
@@ -216,7 +217,12 @@ def config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, commands = build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:
+        # the command's own usage line lists the options it does take
+        commands[args.command].error(
+            f"unrecognized arguments: {' '.join(unknown)}")
     try:
         cfg = config_from_args(args)
     except ValueError as exc:

@@ -362,8 +362,14 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
     of) a component X of the level-<=i forest.  The output agrees with h on
     X, acts on each horoball of X by the canonical vertex transporter, and
     propagates to the other components along the component graph by
-    conjugated component transporters.  Deterministic: the BFS order over
-    components is canonical (or its reverse, which must give the same map).
+    conjugated component transporters.
+
+    The walk is a breadth-first search of the component graph from X, each
+    component's neighbors in canonical address order; reverse_bfs reverses
+    every neighbor list, which must give the same map.  A component takes
+    its evaluator from its neighbor one layer closer to X, through the
+    horosphere they share.  That neighbor is unique: the component graph is
+    a block graph, with one clique per horosphere.
     """
     d = t.datum
     _check_partial_iso(d, h.pairs, require_levels=True)
@@ -399,15 +405,19 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
                 f"propagation needs {arg}, outside the input domain")
         return T.act_word(d, post, mid)
 
-    pending = [x_key]
-    visited = {x_key}
+    depth = T.bfs_depths([x_key], (lambda key: graph.edges[key][::-1])
+                         if reverse_bfs else graph.edges.__getitem__)
     hb_done = set()
-    while pending:
-        if reverse_bfs:
-            key = max(pending, key=T.address_key)
-        else:
-            key = min(pending, key=T.address_key)
-        pending.remove(key)
+    for key, k in depth.items():
+        if key != x_key:
+            parent = next(p for p in graph.edges[key] if depth[p] < k)
+            x, z = graph.witness(parent, key)
+            y, zp = result.get(x), result.get(z)
+            if parent not in evaluators or y is None or zp is None:
+                continue
+            pre, post = evaluators[parent]
+            evaluators[key] = (W.delta_mul(d, pre, TR.delta_xy(d, z, x)),
+                               W.delta_mul(d, TR.delta_xy(d, y, zp), post))
         Z = graph.components[key]
         # ensure the component itself is mapped; where an image already
         # exists (the entry vertex, set from the horoball side) the two
@@ -440,22 +450,6 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
                 elif prev != img:
                     raise NotIsomorphism(
                         f"inconsistent horoball propagation at {u}")
-            # neighboring components through the shared horosphere
-            for z_vid in hb.horosphere_ids():
-                z = t.verts[z_vid]
-                z_key = graph.comp_of_vid[z_vid]
-                if z_key in visited:
-                    continue
-                zp = result.get(z)
-                if zp is None:
-                    continue
-                pre, post = evaluators[key]
-                d_zx = TR.delta_xy(d, z, x)
-                d_yzp = TR.delta_xy(d, y, zp)
-                evaluators[z_key] = (W.delta_mul(d, pre, d_zx),
-                                     W.delta_mul(d, d_yzp, post))
-                visited.add(z_key)
-                pending.append(z_key)
 
     uncovered = [v for v in t.verts if v not in result]
     if uncovered and not lenient:
@@ -518,7 +512,9 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
     the visible ball with the action of an explicitly produced word delta'.
     The canonical candidate for delta_j is tau * delta, where tau transports
     the component delta.Y_i back to Y_i (this mirrors the membership
-    argument); the level-<=i shifts of length <= 2 are tried after it.
+    argument).  The candidates are tau * delta * sigma^-1 over the
+    level-<=i words sigma of length <= 2, in enumeration order: the empty
+    shift comes first, and each candidate is formed only when it is tried.
     Success is per sample; nothing here certifies finite index.
     """
     d = t.datum
@@ -526,8 +522,6 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
     base = T.base_vertex()
     y_key = graph.comp_of_vid[t.vid(base)]
     entries = []
-    fallback_invs = [W.delta_inv(d, sigma) for sigma
-                     in W.enumerate_words(d, 2, list(range(1, i + 1)))]
     for delta in samples:
         entry = {"sample": W.word_to_json(delta), "ok": False}
         img = T.act_word(d, delta, base)
@@ -539,11 +533,10 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
         z_key = graph.comp_of_vid[t.vid(img)]
         tau = TR.tau_XY(d, graph, z_key, y_key)
         w_pre = W.delta_mul(d, tau, delta)
-        # distinct candidates, in first-seen order
-        candidates = dict.fromkeys(
-            [w_pre] + [W.delta_mul(d, w_pre, inv) for inv in fallback_invs])
         found = None
-        for delta_j in candidates:
+        # distinct normal-form shifts give distinct candidates
+        for sigma in W.enumerate_words(d, 2, list(range(1, i + 1))):
+            delta_j = W.delta_mul(d, w_pre, W.delta_inv(d, sigma))
             m = W.delta_mul(d, W.delta_inv(d, delta_j), delta)
             res = _match_conjugate_to_word(t, Eg, m, search_bound)
             if res is not None:
@@ -667,6 +660,12 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     domain and image), greedily extend inside it, extend to the whole ball
     by the unique component-wise construction, then check membership and
     run the commensuration probe on seeded samples.
+
+    The sample pool is the nonempty level-<=i+1 words of length <= 2 that
+    keep the base vertex in the ball.  A normal-form word moves the base
+    vertex by the sum of 2 * (top position) over its syllables, so a
+    syllable above radius // 2 always leaves the ball: the pool is
+    enumerated over positions up to min(i + 1, radius // 2) only.
     """
     import random
 
@@ -681,7 +680,8 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     Eg = extend_E(t, g, i)
     cert = check_Li(t, Eg, i, record_instances=record_instances)
     rng = random.Random(seed)
-    pool = [w for w in W.enumerate_words(d, 2, list(range(1, i + 2)))
+    positions = list(range(1, min(i + 1, radius // 2) + 1))
+    pool = [w for w in W.enumerate_words(d, 2, positions)
             if w and T.act_word(d, w, T.base_vertex()) in t]
     samples = [pool[rng.randrange(len(pool))] for _ in range(n_samples)] if pool else []
     comm = commensuration_probe(t, Eg, samples, i)

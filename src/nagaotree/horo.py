@@ -125,7 +125,6 @@ class Component:
     """Connected component of the level-<=i subforest, inside a ball."""
 
     i: int
-    anchor: Vertex
     tree: TruncatedTree
     vertex_ids: list[int]
 
@@ -147,7 +146,7 @@ def component(t: TruncatedTree, x: Vertex, i: int) -> Component:
         raise LevelTooHigh(f"level {x[2]} exceeds the component bound {i}")
     start = t.vid(x)
     ids = T.flood(t, start, lambda u: t.level(u) <= i)
-    return Component(i=i, anchor=x, tree=t, vertex_ids=ids)
+    return Component(i=i, tree=t, vertex_ids=ids)
 
 
 @dataclass
@@ -210,7 +209,6 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
         if t.level(vid) <= i and vid not in comp_of_vid:
             comp = component(t, t.verts[vid], i)
             key = comp.key
-            comp.anchor = key
             components[key] = comp
             for u in comp.vertex_ids:
                 comp_of_vid[u] = key

@@ -60,15 +60,13 @@ def suite_transitivity(d: NagaoDatum, radius: int) -> SuiteReport:
     max_j = min(3, radius // 2)
     rep.info["max_j"] = max_j
     for j in range(1, max_j + 1):
-        xj = T.ray_vertex(j)
+        # the ball is a subtree, so in-ball BFS depth is tree distance
+        dist_j = T.bfs_depths([t.vid(T.ray_vertex(j))], t.adj.__getitem__,
+                              max_depth=j)
         for i in range(1, j + 1):
             span = j - i + 1
-            m_set = {
-                t.verts[vid]
-                for vid in range(t.n)
-                if t.level(vid) == i - 1
-                and T.distance(t, t.verts[vid], xj) == span
-            }
+            m_set = {t.verts[vid] for vid, k in dist_j.items()
+                     if k == span and t.level(vid) == i - 1}
             expected = 1
             for r in range(i, j + 1):
                 expected *= d.q(r)

@@ -140,7 +140,10 @@ def test_ignored_option_exit_2(command, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unrecognized arguments: --format dot" in captured.err
+    # the command's own parser refuses it, so its usage line is shown
+    assert captured.err.startswith(f"usage: nagaotree {command} ")
+    assert (f"nagaotree {command}: error: unrecognized arguments: --format dot"
+            in captured.err)
 
 
 def test_reports_byte_identical(capsys):
@@ -195,6 +198,17 @@ def test_extend_identity_d2_r3(tmp_path, capsys):
     # the report bytes, as pinned for the other data in test_golden
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "39d735d7e2cfaf70f4daa38f3b670bcb180c8db9be49c855cd71ad5a7c314c13")
+
+
+def test_extend_identity_d2_r4(tmp_path, capsys):
+    d = D.builtin("D2")
+    x0 = T.base_vertex()
+    path = _phi_file(tmp_path, d, {v: v for v in [x0] + T.neighbors(d, x0)})
+    code, out = run(capsys, "extend", "--datum", "D2", "--radius", "4",
+                    "--phi", path)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d061fcf0632396d24241c68c02dcca4bbc7d1805b1c3da5aff4f1487f75f093f")
 
 
 def test_extend_swap_nontrivial(tmp_path, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
 from nagaotree import tree as T
@@ -377,3 +378,51 @@ def test_extend_E_reproduces_mixed_group_elements(d1, ball_d0_6):
         out = E.extend_E(t, h, 1)
         for v in t.verts:
             assert out.pairs[v] == T.act(d, g, v)
+
+
+@pytest.mark.parametrize("name, radius, i", [
+    ("D0", 6, 2), ("D3", 6, 2), ("D3", 7, 1), ("D0", 10, 2)])
+def test_extend_E_reverse_bfs_levels(name, radius, i):
+    # both walk orders of the component graph give one map: the extension
+    # of a greedy swap, and that of a group element's restriction.  At r6
+    # every component touches the base one; at D3 r7 (i = 1) and D0 r10
+    # (i = 2) some lie two layers out
+    d = D.builtin(name)
+    t = T.ball(d, T.base_vertex(), radius)
+    x0, x1 = T.base_vertex(), T.ray_vertex(1)
+    u_x0 = T.act_word(d, W.generator(1, 1, 1), x0)
+    swap = E.greedy_extend(t, E.TreeMap(d, {x0: u_x0, u_x0: x0, x1: x1}),
+                           level_bound=i)
+    a = E.extend_E(t, swap, i)
+    assert E.extend_E(t, swap, i, reverse_bfs=True).pairs == a.pairs
+    assert len(a.pairs) == t.n and E.check_Li(t, a, i).valid
+    g = (d.ident0, W.delta_mul(d, W.generator(2, 2, 1), W.generator(1, 1, 1)))
+    h = base_component_map(d, t, i, g)
+    for reverse_bfs in (False, True):
+        out = E.extend_E(t, h, i, reverse_bfs=reverse_bfs)
+        assert all(out.pairs[v] == T.act(d, g, v) for v in t.verts)
+
+
+def test_pipeline_pool_stays_near_the_ball(monkeypatch):
+    # D2 at i = 2 has 1,942,956 words of length <= 2 over positions 1..3,
+    # 35 of which keep the base vertex in the radius-3 ball, and 51,696
+    # commensuration shifts per sample: forming either set up front costs
+    # millions of calls
+    d = D.builtin("D2")
+    calls = {"act_word": 0, "delta_mul": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(T, "act_word")
+    counted(W, "delta_mul")
+    x0 = T.base_vertex()
+    phi = E.TreeMap(d, {v: v for v in [x0] + T.neighbors(d, x0)})
+    _, rep = E.density_pipeline(d, phi, 3, n_samples=4, seed=0)
+    assert rep.passed
+    assert calls["act_word"] < 100_000 and calls["delta_mul"] < 100_000, calls
