@@ -61,6 +61,19 @@ def load_datum(source: str) -> D.NagaoDatum:
     return D.datum_from_json(obj, name=Path(source).stem)
 
 
+def load_map(d: D.NagaoDatum, path: str) -> E.TreeMap:
+    """The map of a JSON file {"pairs": [[vertex, vertex], ...]}."""
+    with open(path) as fh:
+        obj = json.load(fh)
+    pairs = {}
+    for a, b in obj["pairs"]:
+        va, vb = S.vertex_from_json(d, a), S.vertex_from_json(d, b)
+        T.validate_address(d, va)
+        T.validate_address(d, vb)
+        pairs[va] = vb
+    return E.TreeMap(d, pairs)
+
+
 def _write(cfg: RunConfig, text: str) -> None:
     """Write a report to --out, creating its directory, or to stdout."""
     if cfg.out:
@@ -122,29 +135,10 @@ def cmd_suite(cfg: RunConfig, d: D.NagaoDatum) -> int:
     return EXIT_PASS if ok else EXIT_PROBE_FAILURE
 
 
-def cmd_extend(cfg: RunConfig, d: D.NagaoDatum) -> int:
-    try:
-        with open(cfg.phi) as fh:
-            obj = json.load(fh)
-        pairs = {}
-        for a, b in obj["pairs"]:
-            va = S.vertex_from_json(d, a)
-            vb = S.vertex_from_json(d, b)
-            T.validate_address(d, va)
-            T.validate_address(d, vb)
-            pairs[va] = vb
-        phi = E.TreeMap(d, pairs)
-    except INPUT_ERRORS as exc:
-        return _fail(cfg, "extend", exc, EXIT_INVALID_INPUT)
-    try:
-        ext, report = E.density_pipeline(d, phi, cfg.radius,
-                                         n_samples=max(cfg.samples, 4),
-                                         seed=cfg.seed,
-                                         record_instances=True)
-    except TruncationExceeded as exc:
-        return _fail(cfg, "extend", exc, EXIT_TRUNCATION)
-    except NagaoError as exc:
-        return _fail(cfg, "extend", exc, EXIT_INVALID_INPUT)
+def cmd_extend(cfg: RunConfig, d: D.NagaoDatum, phi: E.TreeMap) -> int:
+    ext, report = E.density_pipeline(d, phi, cfg.radius,
+                                     n_samples=max(cfg.samples, 4),
+                                     seed=cfg.seed, record_instances=True)
     _emit(cfg, {
         "command": "extend",
         "ok": report.passed,
@@ -237,9 +231,16 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         d = load_datum(cfg.datum)
+        inputs = (d, load_map(d, cfg.phi)) if cfg.phi else (d,)
     except INPUT_ERRORS as exc:
         return _fail(cfg, args.command, exc, EXIT_INVALID_INPUT)
-    return handler(cfg, d)
+    # a library refusal is a report, any other exception a bug
+    try:
+        return handler(cfg, *inputs)
+    except TruncationExceeded as exc:
+        return _fail(cfg, args.command, exc, EXIT_TRUNCATION)
+    except NagaoError as exc:
+        return _fail(cfg, args.command, exc, EXIT_INVALID_INPUT)
 
 
 if __name__ == "__main__":

@@ -33,7 +33,7 @@ from . import tree as T
 from . import twincodist as TC
 from . import words as W
 from .datum import NagaoDatum
-from .errors import (CannotExtendInTruncation, NotInGraph, NotIsomorphism,
+from .errors import (CannotExtendInTruncation, NotIsomorphism,
                      NotLevelPreserving, TruncationExceeded, TypeMismatch)
 from .serialize import Tally, vertex_to_json
 from .tree import TruncatedTree, Vertex
@@ -320,12 +320,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             cb.skipped += 1
             continue
         tau = TR.tau_XY(d, graph, x0_key, y_key)
-        try:
-            tau_img = TR.tau_XY(d, graph, hX0_key, hY_key)
-        except NotInGraph:
-            # image components exist but their connecting path is invisible
-            cb.skipped += 1
-            continue
+        tau_img = TR.tau_XY(d, graph, hX0_key, hY_key)
         points = 0
         mismatch = None
         for v in X0.vertices():
@@ -434,15 +429,13 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
                 raise NotIsomorphism(
                     f"horoball and component definitions disagree at {v}")
         # horoballs at the component's level-i vertices
-        for x_vid in Z.boundary_ids():
-            if x_vid in hb_done:
-                continue
+        for x_vid in Z.horosphere_ids():
             x = t.verts[x_vid]
-            y = result.get(x)
-            if y is None:
-                continue
             hb = H.horoball(t, x)
-            hb_done.update(hb.horosphere_ids())
+            y = result.get(x)
+            if hb in hb_done or y is None:
+                continue
+            hb_done.add(hb)
             for u, img in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
                 prev = result.get(u)
                 if prev is None:
@@ -513,14 +506,16 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
     The canonical candidate for delta_j is tau * delta, where tau transports
     the component delta.Y_i back to Y_i (this mirrors the membership
     argument).  The candidates are tau * delta * sigma^-1 over the
-    level-<=i words sigma of length <= 2, in enumeration order: the empty
-    shift comes first, and each candidate is formed only when it is tried.
+    level-<=i words sigma of length <= 2, enumerated once per probe and
+    tried in that order: the empty shift comes first, and each candidate is
+    formed only when it is tried.
     Success is per sample; nothing here certifies finite index.
     """
     d = t.datum
     graph = H.component_graph(t, i)
     base = T.base_vertex()
     y_key = graph.comp_of_vid[t.vid(base)]
+    shifts = W.enumerate_words(d, 2, list(range(1, i + 1)))
     entries = []
     for delta in samples:
         entry = {"sample": W.word_to_json(delta), "ok": False}
@@ -535,7 +530,7 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
         w_pre = W.delta_mul(d, tau, delta)
         found = None
         # distinct normal-form shifts give distinct candidates
-        for sigma in W.enumerate_words(d, 2, list(range(1, i + 1))):
+        for sigma in shifts:
             delta_j = W.delta_mul(d, w_pre, W.delta_inv(d, sigma))
             m = W.delta_mul(d, W.delta_inv(d, delta_j), delta)
             res = _match_conjugate_to_word(t, Eg, m, search_bound)

@@ -1,17 +1,30 @@
 """Horospheres, horoballs, bounded-level components and the component graph.
 
-For a vertex x of positive level, the horoball HB(x) is the connected
-component of x in the forest spanned by all vertices of level >= l(x); the
-horosphere HS(x) is its set of level-l(x) vertices.  For a level bound i,
-the components of the level-<=i forest form the nodes of a graph whose edges
-join components touching a common horosphere at level i.  Both families are
-computed extensionally inside a built ball; all sets are convex, so their
-in-ball parts are connected and flood fill is exact.
+For x of positive level, the horoball HB(x) is the component of x in the
+forest of vertices of level >= l(x), and the horosphere HS(x) its level-l(x)
+part.  Cutting a ball at level i gives the horoballs (components of levels
+>= i) and the components of levels <= i; the two families meet in the
+level-i horospheres.  One memoised cut (`level_cut`) floods every piece of a
+side once, and `horoball` and `component` are lookups in it.  Balls,
+horoballs and components are convex, so in-ball parts are connected and
+flood fill is exact.
+
+The component graph joins components on a common horosphere: a block graph
+with one clique per horosphere.  A geodesic is read off the ball as the
+components the tree path meets at level <= i.  A stretch of the path above
+i enters and leaves one horoball at two distinct horosphere vertices, which
+lie in different components, or the tree would have a cycle; by convexity
+the path never returns to a component or a horoball it has left.  So the
+projection is a path with no repeated node and no two consecutive edges in
+one clique.  Any second path would close a cycle across two cliques, so the
+projection is the unique geodesic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import combinations
 
 from . import tree as T
 from . import words as W
@@ -30,36 +43,33 @@ def level_increasing_ray(d: NagaoDatum, x: Vertex, length: int) -> list[Vertex]:
     return out
 
 
-@dataclass
-class HoroballView:
-    """HB(base) intersected with a ball; horosphere = its level-l(base) part.
+@dataclass(eq=False)
+class Piece:
+    """In-ball part of a component of the level->=i or level-<=i forest.
 
-    The horosphere ids are computed once; the relative coordinates of the
-    vertices seen from each horosphere vertex are memoised on first use.
+    Its level-i vertices (the horosphere of a horoball), its key and the
+    relative coordinates seen from each horosphere vertex are computed once,
+    on first use.
     """
 
-    base: Vertex
+    i: int
     tree: TruncatedTree
     vertex_ids: list[int]
 
-    def __post_init__(self):
-        lv = self.base[2]
-        self._sphere = tuple(vid for vid in self.vertex_ids
-                             if self.tree.level(vid) == lv)
-
-    @property
-    def level(self) -> int:
-        return self.base[2]
-
+    @T.memoised
     def horosphere_ids(self) -> tuple[int, ...]:
-        return self._sphere
+        return tuple(v for v in self.vertex_ids if self.tree.level(v) == self.i)
+
+    @cached_property
+    def key(self) -> Vertex:
+        """Canonical node identity: minimal vertex address in the piece."""
+        return min(self.vertices(), key=T.address_key)
 
     @T.memoised
     def relative(self, x_vid: int) -> tuple[Vertex, ...]:
         """w_x^-1 . u for every u in vertex_ids (in order), where w_x is the
         address word of the horosphere vertex x; memoised per x."""
-        t = self.tree
-        d = t.datum
+        t, d = self.tree, self.tree.datum
         w_inv = W.delta_inv(d, t.verts[x_vid][0])
         return tuple(T.act_word(d, w_inv, t.verts[u]) for u in self.vertex_ids)
 
@@ -68,36 +78,41 @@ class HoroballView:
 
 
 @T.memoised
-def horoball(t: TruncatedTree, x: Vertex) -> HoroballView:
-    """In-ball part of the horoball of x (level of x must be positive).
+def level_cut(t: TruncatedTree, i: int, above: bool
+              ) -> tuple[tuple[Piece, ...], dict[int, Piece]]:
+    """The pieces of the ball cut at level i, on the side of levels >= i
+    (above) or <= i, in order of least vertex id, and the piece of every
+    vertex they cover.  Memoised per ball."""
+    keep = (lambda u: t.level(u) >= i) if above else (lambda u: t.level(u) <= i)
+    pieces: list[Piece] = []
+    piece_of: dict[int, Piece] = {}
+    for vid in range(t.n):
+        if vid not in piece_of and keep(vid):
+            piece = Piece(i=i, tree=t, vertex_ids=T.flood(t, vid, keep))
+            pieces.append(piece)
+            piece_of.update(dict.fromkeys(piece.vertex_ids, piece))
+    return tuple(pieces), piece_of
 
-    Memoised per ball: the same horoballs are consulted over and over by
-    the membership checks.
-    """
+
+def horoball(t: TruncatedTree, x: Vertex) -> Piece:
+    """In-ball part of the horoball of x (level of x must be positive); the
+    same object for every vertex of its horosphere."""
     if x[2] == 0:
         raise LevelZeroBase(f"{x} has level 0: horoballs need positive level")
-    lv = x[2]
-    ids = T.flood(t, t.vid(x), lambda u: t.level(u) >= lv)
-    return HoroballView(base=x, tree=t, vertex_ids=ids)
+    return level_cut(t, x[2], True)[1][t.vid(x)]
 
 
-@T.memoised
-def horoballs(t: TruncatedTree, i: int) -> tuple[HoroballView, ...]:
-    """The in-ball horoballs of the level-i vertices, one per horosphere,
-    ordered by the least vertex id on each horosphere.  Memoised per ball."""
-    out = []
-    seen: set[int] = set()
-    for vid in range(t.n):
-        if t.level(vid) == i and vid not in seen:
-            hb = horoball(t, t.verts[vid])
-            seen.update(hb.horosphere_ids())
-            out.append(hb)
-    return tuple(out)
+def horoballs(t: TruncatedTree, i: int) -> tuple[Piece, ...]:
+    """The in-ball level-i horoballs, one per horosphere, in order of least
+    vertex id (in a ball about the base vertex, a horosphere vertex)."""
+    if i == 0:
+        raise LevelZeroBase(
+            f"{t.center} has level 0: horoballs need positive level")
+    return level_cut(t, i, True)[0]
 
 
 def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:
-    hb = horoball(t, x)
-    return [t.verts[vid] for vid in hb.horosphere_ids()]
+    return [t.verts[vid] for vid in horoball(t, x).horosphere_ids()]
 
 
 def in_same_horosphere(d: NagaoDatum, x: Vertex, y: Vertex) -> bool:
@@ -120,33 +135,11 @@ def _standard_offset(d: NagaoDatum, x: Vertex, y: Vertex):
     return None
 
 
-@dataclass
-class Component:
-    """Connected component of the level-<=i subforest, inside a ball."""
-
-    i: int
-    tree: TruncatedTree
-    vertex_ids: list[int]
-
-    @property
-    def key(self) -> Vertex:
-        """Canonical node identity: minimal vertex address in the component."""
-        return min((self.tree.verts[v] for v in self.vertex_ids),
-                   key=T.address_key)
-
-    def boundary_ids(self) -> list[int]:
-        return [v for v in self.vertex_ids if self.tree.level(v) == self.i]
-
-    def vertices(self) -> list[Vertex]:
-        return [self.tree.verts[v] for v in self.vertex_ids]
-
-
-def component(t: TruncatedTree, x: Vertex, i: int) -> Component:
+def component(t: TruncatedTree, x: Vertex, i: int) -> Piece:
+    """In-ball part of the component of x in the level-<=i forest."""
     if x[2] > i:
         raise LevelTooHigh(f"level {x[2]} exceeds the component bound {i}")
-    start = t.vid(x)
-    ids = T.flood(t, start, lambda u: t.level(u) <= i)
-    return Component(i=i, tree=t, vertex_ids=ids)
+    return level_cut(t, i, False)[1][t.vid(x)]
 
 
 @dataclass
@@ -160,7 +153,7 @@ class ComponentGraph:
 
     i: int
     tree: TruncatedTree
-    components: dict[Vertex, Component]
+    components: dict[Vertex, Piece]
     edges: dict[Vertex, list[Vertex]]
     edge_witness: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]]
     comp_of_vid: dict[int, Vertex] = field(repr=False, default_factory=dict)
@@ -175,27 +168,18 @@ class ComponentGraph:
         return wit
 
     def geodesic(self, a: Vertex, b: Vertex) -> list[Vertex]:
-        """Unique geodesic between two nodes, by BFS over visible edges."""
+        """Unique geodesic between two nodes: the components that the tree
+        path from a to b meets at level <= i, in order (see the module
+        docstring for why this is the geodesic)."""
         if a not in self.components or b not in self.components:
             raise NotInGraph("both endpoints must be nodes of the graph")
-        if a == b:
-            return [a]
-        prev = {a: None}
-        queue = [a]
-        while queue:
-            nxt = []
-            for x in queue:
-                for y in self.edges[x]:
-                    if y not in prev:
-                        prev[y] = x
-                        if y == b:
-                            path = [y]
-                            while prev[path[-1]] is not None:
-                                path.append(prev[path[-1]])
-                            return list(reversed(path))
-                        nxt.append(y)
-            queue = nxt
-        raise NotInGraph(f"no in-ball path between {a} and {b}")
+        t, comp_of_vid = self.tree, self.comp_of_vid
+        out = [a]
+        for vid in T.geodesic_ids(t, t.vid(a), t.vid(b)):
+            key = comp_of_vid.get(vid)  # None above level i
+            if key is not None and key != out[-1]:
+                out.append(key)
+        return out
 
 
 @T.memoised
@@ -203,32 +187,23 @@ def component_graph(t: TruncatedTree, i: int) -> ComponentGraph:
     """All level-<=i components meeting the ball, with horosphere edges."""
     if i < 1:
         raise LevelTooHigh("component graphs need a level bound i >= 1")
-    comp_of_vid: dict[int, Vertex] = {}
-    components: dict[Vertex, Component] = {}
-    for vid in range(t.n):
-        if t.level(vid) <= i and vid not in comp_of_vid:
-            comp = component(t, t.verts[vid], i)
-            key = comp.key
-            components[key] = comp
-            for u in comp.vertex_ids:
-                comp_of_vid[u] = key
+    pieces, piece_of = level_cut(t, i, False)
+    components = {comp.key: comp for comp in pieces}
+    comp_of_vid = {vid: comp.key for vid, comp in piece_of.items()}
     edges: dict[Vertex, list[Vertex]] = {key: [] for key in components}
     witness: dict[tuple[Vertex, Vertex], tuple[Vertex, Vertex]] = {}
     for hb in horoballs(t, i):
-        sphere = hb.horosphere_ids()
-        for a_pos in range(len(sphere)):
-            for b_pos in range(a_pos + 1, len(sphere)):
-                xa, xb = sphere[a_pos], sphere[b_pos]
-                ka, kb = comp_of_vid[xa], comp_of_vid[xb]
-                # distinct components, seen at most once: anything else would
-                # close a cycle in the tree
-                if ka == kb or (ka, kb) in witness:
-                    raise NagaoError(f"components {ka} and {kb} close a cycle "
-                                     f"through {t.verts[xa]} and {t.verts[xb]}")
-                witness[(ka, kb)] = (t.verts[xa], t.verts[xb])
-                witness[(kb, ka)] = (t.verts[xb], t.verts[xa])
-                edges[ka].append(kb)
-                edges[kb].append(ka)
+        for xa, xb in combinations(hb.horosphere_ids(), 2):
+            ka, kb = comp_of_vid[xa], comp_of_vid[xb]
+            # distinct components, seen at most once: anything else would
+            # close a cycle in the tree
+            if ka == kb or (ka, kb) in witness:
+                raise NagaoError(f"components {ka} and {kb} close a cycle "
+                                 f"through {t.verts[xa]} and {t.verts[xb]}")
+            witness[(ka, kb)] = (t.verts[xa], t.verts[xb])
+            witness[(kb, ka)] = (t.verts[xb], t.verts[xa])
+            edges[ka].append(kb)
+            edges[kb].append(ka)
     for key in edges:
         edges[key].sort(key=T.address_key)
     return ComponentGraph(i=i, tree=t, components=components, edges=edges,

@@ -20,7 +20,7 @@ from . import tree as T
 from . import words as W
 from .datum import NagaoDatum
 from .errors import LevelMismatch, NotSameHorosphere
-from .horo import ComponentGraph, HoroballView
+from .horo import ComponentGraph, Piece
 from .tree import Vertex
 from .words import Gamma, Word
 
@@ -63,8 +63,7 @@ def gamma_xy(d: NagaoDatum, x: Vertex, y: Vertex) -> Gamma:
     return W.gamma_mul(d, gamma_vertex(d, y), W.gamma_inv(d, gamma_vertex(d, x)))
 
 
-def gamma_xy_on_horoball(d: NagaoDatum, hb: HoroballView, x_vid: int,
-                         y: Vertex):
+def gamma_xy_on_horoball(d: NagaoDatum, hb: Piece, x_vid: int, y: Vertex):
     """Yield (u, gamma_xy(x, y) . u) for u over hb.vertex_ids, in order,
     where x = hb.tree.verts[x_vid] lies on the horosphere of hb.
 
@@ -73,7 +72,7 @@ def gamma_xy_on_horoball(d: NagaoDatum, hb: HoroballView, x_vid: int,
         gamma_xy(x, y) = w_y * (gamma_{s_y} gamma_{s_x}^-1) * w_x^-1,
 
     and the right-hand factor applied to u, w_x^-1 . u, depends on the ball
-    only (`HoroballView.relative` memoises it).  The middle factor is the
+    only (`Piece.relative` memoises it).  The middle factor is the
     identity when s_y = s_x; otherwise it is the Gamma0 element
     reps[s_y-1] reps[s_x-1]^-1, the only Gamma action left here (w_x^-1 . u
     lies in HB(x_{i,s_x}), so that action only moves ray s_x to ray s_y).
@@ -97,22 +96,17 @@ def gamma_xy_on_horoball(d: NagaoDatum, hb: HoroballView, x_vid: int,
             yield t.verts[u_vid], T.act_word(d, wy, T.act(d, c, r))
 
 
-def tau_edge(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
-    """Transporter along one edge of the component graph."""
-    x, y = g.witness(a, b)
-    return delta_xy(d, x, y)
-
-
 def tau_XY(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
     """Product of edge transporters along the unique geodesic from a to b."""
     return tau_along(d, g, g.geodesic(a, b))
 
 
 def tau_along(d: NagaoDatum, g: ComponentGraph, path: list[Vertex]) -> Word:
-    """Product of edge transporters along an arbitrary node path."""
+    """Product of edge transporters along an arbitrary node path; an edge
+    moves its witness pair by delta_xy."""
     out = W.EMPTY
     for u, v in zip(path, path[1:]):
-        out = W.delta_mul(d, tau_edge(d, g, u, v), out)
+        out = W.delta_mul(d, delta_xy(d, *g.witness(u, v)), out)
     return out
 
 
@@ -232,12 +226,9 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         # the in-ball horosphere of every level-i vertex, in address order;
         # balls and horoballs are convex, so the flooded horosphere is the
         # in-ball part of the symbolic one
-        sphere: dict[Vertex, list[Vertex]] = {}
-        for hb in H.horoballs(t, i):
-            members = sorted((t.verts[v] for v in hb.horosphere_ids()),
-                             key=T.address_key)
-            for x in members:
-                sphere[x] = members
+        spheres = [sorted((t.verts[v] for v in hb.horosphere_ids()),
+                          key=T.address_key) for hb in H.horoballs(t, i)]
+        sphere = {x: members for members in spheres for x in members}
         vs = sorted(sphere, key=T.address_key)
         hs_pairs = [(x, y) for x in vs for y in sphere[x]]
         lv_pairs = [(x, y) for x in vs for y in vs]

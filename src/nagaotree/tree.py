@@ -222,7 +222,11 @@ def distance(t: TruncatedTree, a: Vertex, b: Vertex) -> int:
 
 def geodesic(t: TruncatedTree, a: Vertex, b: Vertex) -> list[Vertex]:
     """The unique tree path from a to b, both inside the truncation."""
-    ia, ib = t.vid(a), t.vid(b)
+    return [t.verts[i] for i in geodesic_ids(t, t.vid(a), t.vid(b))]
+
+
+def geodesic_ids(t: TruncatedTree, ia: int, ib: int) -> list[int]:
+    """The ids along the unique tree path between two ball vertex ids."""
     up_a = [ia]
     up_b = [ib]
     da, db = t.dist[ia], t.dist[ib]
@@ -239,8 +243,7 @@ def geodesic(t: TruncatedTree, a: Vertex, b: Vertex) -> list[Vertex]:
         ib = t.parent[ib]
         up_a.append(ia)
         up_b.append(ib)
-    path = up_a + list(reversed(up_b[:-1]))
-    return [t.verts[i] for i in path]
+    return up_a + up_b[-2::-1]
 
 
 @dataclass

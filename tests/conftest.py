@@ -232,6 +232,29 @@ def horoball_oracle(t, x) -> set:
     return out
 
 
+def bfs_component_geodesic(g, a, b) -> list:
+    """Shortest node path from a to b in a component graph, by breadth-first
+    search over its edge lists alone (no tree paths)."""
+    if a == b:
+        return [a]
+    prev = {a: None}
+    queue = [a]
+    while queue:
+        nxt = []
+        for x in queue:
+            for y in g.edges[x]:
+                if y not in prev:
+                    prev[y] = x
+                    if y == b:
+                        path = [y]
+                        while prev[path[-1]] is not None:
+                            path.append(prev[path[-1]])
+                        return path[::-1]
+                    nxt.append(y)
+        queue = nxt
+    raise ValueError(f"no path between {a} and {b}")
+
+
 def all_level_matchings(d, c, c2, level_bound=None):
     """All level-preserving bijections between the stars of c and c2,
     as dictionaries including the centers.  With a bound, only neighbors

@@ -211,6 +211,23 @@ def test_commensuration_identity_witness(d0, ball_d0_6):
         assert W.word_from_json(d, entry["witness"]) == expect
 
 
+def test_commensuration_shifts_enumerated_once(d0, ball_d0_6, monkeypatch):
+    # the shift list depends on i only, not on the sample
+    calls = []
+    enumerate_words = W.enumerate_words
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_words(*args)
+
+    monkeypatch.setattr(W, "enumerate_words", counted)
+    Eg = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
+    samples = [W.generator(1, 2, 1), W.generator(2, 1, 1), W.generator(1, 1, 1)]
+    rep = E.commensuration_probe(ball_d0_6, Eg, samples, 2)
+    assert rep.passed
+    assert calls == [(d0, 2, [1, 2])]
+
+
 def test_commensuration_element_conjugation(d0, ball_d0_6):
     d = d0
     delta0 = W.generator(1, 1, 1)

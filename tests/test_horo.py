@@ -7,12 +7,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import horoball_oracle
+from conftest import bfs_component_geodesic, horoball_oracle
 from nagaotree import datum as D
 from nagaotree import horo as H
 from nagaotree import tree as T
 from nagaotree import words as W
-from nagaotree.errors import LevelTooHigh, LevelZeroBase
+from nagaotree.errors import LevelTooHigh, LevelZeroBase, NotInGraph
 
 
 def test_level_increasing_ray(d0):
@@ -223,6 +223,35 @@ def test_geodesics_unique_with_characterization(d0, ball_d0_6, i):
         geo = g.geodesic(a, b)
         found = list(proper_paths(a, b, maxlen=len(geo) + 2))
         assert len(found) == 1 and found[0] == geo
+
+
+@pytest.mark.parametrize("name,radius", [("D0", 6), ("D3", 6), ("D2", 3)])
+@pytest.mark.parametrize("i", [1, 2])
+def test_geodesic_read_off_the_ball_matches_bfs(name, radius, i):
+    # the projected tree path is the geodesic a breadth-first search of the
+    # component graph finds, on every ordered pair of nodes
+    t = T.ball(D.builtin(name), T.base_vertex(), radius)
+    g = H.component_graph(t, i)
+    keys = g.node_keys()
+    for a in keys:
+        for b in keys:
+            assert g.geodesic(a, b) == bfs_component_geodesic(g, a, b)
+    with pytest.raises(NotInGraph):
+        g.geodesic(keys[0], T.ray_vertex(i + 1))
+
+
+def test_horoball_shared_by_its_horosphere(d3):
+    # one flood per horoball: every horosphere vertex gets the same object,
+    # and its vertices are the flood from any of them
+    t = T.ball(d3, T.base_vertex(), 5)
+    for vid in range(t.n):
+        lv = t.level(vid)
+        if lv == 0:
+            continue
+        hb = H.horoball(t, t.verts[vid])
+        for y in hb.horosphere_ids():
+            assert H.horoball(t, t.verts[y]) is hb
+            assert hb.vertex_ids == T.flood(t, y, lambda u: t.level(u) >= lv)
 
 
 def test_component_graph_nodes_keyed_by_min_address(d3):
