@@ -1,10 +1,21 @@
 """JSON and DOT serialization for addresses, trees, graphs and reports,
-and the shared check tally of the reports."""
+and the shared check tally of the reports.
+
+Every report is written by `dumps_canonical`, a canonical JSON writer: its
+text is exactly `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.  It
+exists because `indent` makes `json` leave its C encoder for the pure-Python
+one on the supported Python versions (3.10, 3.11), and the large ball and
+codistance reports spend most of their time there.  The writer walks the
+containers itself and encodes the leaves with json's C string encoder and
+`int.__repr__`.  Unlike json, it does not detect circular containers: no
+report contains one.
+"""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from typing import Any
 
 from . import words as W
@@ -72,8 +83,72 @@ def dump_json(obj: Any, path: str) -> None:
 
 
 def dumps_canonical(obj: Any) -> str:
-    """Deterministic JSON text: fixed key order, no whitespace drift."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.
+
+    Circular containers are not detected (no report has one); anything
+    json refuses raises json's own TypeError.
+    """
+    chunks: list[str] = []
+    tail = _write_value(obj, "", "\n", chunks.append)
+    chunks.append(tail + "\n")
+    return "".join(chunks)
+
+
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
+def _write_value(o: Any, pre: str, nl: str, out) -> str:
+    """Pass `pre` and then the text of `o` to `out`, at the indent `nl`
+    ("\n" and the indent of `o`'s line), and return the text that still
+    closes `o`.
+
+    Separators, indents and closing brackets are handed on and merged into
+    the next chunk, so there is one chunk per leaf or per list of ints.
+    """
+    kind = type(o)
+    if kind is str:
+        out(pre + encode_basestring_ascii(o))
+        return ""
+    if kind is int:
+        out(pre + int.__repr__(o))
+        return ""
+    if o is True or o is False or o is None:
+        out(pre + _LITERALS[o])
+        return ""
+    if isinstance(o, (list, tuple)):
+        if not o:
+            out(pre + "[]")
+            return ""
+        inner = nl + "  "
+        if all(type(v) is int for v in o):
+            out(pre + "[" + inner + ("," + inner).join(map(int.__repr__, o)))
+            return nl + "]"
+        items = iter(o)
+        tail = _write_value(next(items), pre + "[" + inner, inner, out)
+        for v in items:
+            tail = _write_value(v, tail + "," + inner, inner, out)
+        return tail + nl + "]"
+    if isinstance(o, dict):
+        if not o:
+            out(pre + "{}")
+            return ""
+        inner = nl + "  "
+        tail = pre + "{"
+        for k, v in sorted(o.items()):
+            key = k if isinstance(k, str) else _key_text(k)
+            tail = _write_value(v, tail + inner + encode_basestring_ascii(key)
+                                + ": ", inner, out) + ","
+        return tail[:-1] + nl + "}"
+    out(pre + json.dumps(o))
+    return ""
+
+
+def _key_text(k: Any) -> str:
+    """A non-str dict key as json converts it to a string."""
+    if isinstance(k, (int, float)) or k is None:
+        return json.dumps(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {k.__class__.__name__}")
 
 
 @dataclass(kw_only=True)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from . import words as W
 from .datum import NagaoDatum
-from .errors import LevelTooHigh, NonCanonicalAddress, NotInTruncation
+from .errors import NonCanonicalAddress, NotInTruncation
 from .serialize import vertex_to_json
 from .words import Gamma, Word
 
@@ -246,27 +246,6 @@ def geodesic_ids(t: TruncatedTree, ia: int, ib: int) -> list[int]:
     return up_a + up_b[-2::-1]
 
 
-@dataclass
-class UniformPiece:
-    """The in-ball part of Y_i (levels <= i reachable from the center),
-    together with generators of the uniform lattice acting on it and the
-    truncated fundamental domain (the k clipped rays)."""
-
-    i: int
-    vertex_ids: list[int]
-    generators: list[Word]
-    fundamental_domain: list[Vertex]
-    tree: TruncatedTree
-
-    @property
-    def vertices(self) -> list[Vertex]:
-        return [self.tree.verts[vid] for vid in self.vertex_ids]
-
-    def degree_in_piece(self, vid: int) -> int:
-        member = set(self.vertex_ids)
-        return sum(1 for u in self.tree.adj[vid] if u in member)
-
-
 def bfs_depths(sources, nbrs, max_depth: int | None = None) -> dict:
     """BFS depth of every node reachable from `sources` through `nbrs`,
     up to `max_depth` when given, in discovery order."""
@@ -290,28 +269,6 @@ def flood(t: TruncatedTree, start: int, keep) -> list[int]:
     whose id satisfies `keep`."""
     return sorted(bfs_depths([start],
                              lambda v: (u for u in t.adj[v] if keep(u))))
-
-
-def uniform_piece(d: NagaoDatum, i: int, radius: int) -> UniformPiece:
-    """Y_i intersected with the standard ball, plus Delta_i generators."""
-    t = ball(d, base_vertex(), radius)
-    start = t.vid(base_vertex())
-    if t.level(start) > i:
-        raise LevelTooHigh(f"start vertex has level {t.level(start)} > bound {i}")
-    ids = flood(t, start, lambda u: t.level(u) <= i)
-    gens = [W.generator(s, j, u)
-            for s in range(1, d.k + 1)
-            for j in range(1, i + 1)
-            for u in range(d.root(j).group.order)
-            if u != d.root(j).group.identity]
-    fd = [base_vertex()] + [
-        (W.EMPTY, s, lev)
-        for s in range(1, d.k + 1)
-        for lev in range(1, min(i, radius) + 1)
-    ]
-    fd = [v for v in fd if v in t]
-    return UniformPiece(i=i, vertex_ids=ids, generators=gens,
-                        fundamental_domain=fd, tree=t)
 
 
 # -- level reconstruction from degrees ---------------------------------------

@@ -141,7 +141,7 @@ def test_component_graph_cycle_raises_under_python_O():
 def test_component_of_base_is_uniform_piece(d0):
     t = T.ball(d0, T.base_vertex(), 4)
     comp = H.component(t, T.base_vertex(), 1)
-    up = T.uniform_piece(d0, 1, 4)
+    up = H.uniform_piece(d0, 1, 4)
     assert comp.vertex_ids == up.vertex_ids
     with pytest.raises(LevelTooHigh):
         H.component(t, T.ray_vertex(2), 1)
