@@ -45,6 +45,8 @@ class RunConfig:
             raise ValueError("radius must be nonnegative")
         if self.samples < 0:
             raise ValueError("samples must be nonnegative")
+        if self.level < 1:
+            raise ValueError("level must be at least 1")
         if not self.suites:
             raise ValueError("no suite selected")
         unknown = [s for s in self.suites if s not in SU.SUITE_NAMES]

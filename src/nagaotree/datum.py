@@ -64,6 +64,21 @@ class LevelProfile:
         return None
 
 
+class _ByPosition(dict):
+    """Per-position state of a datum: entry j is fill(j), computed on the
+    first lookup of j and kept for the life of the datum."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, j):
+        val = self[j] = self.fill(j)
+        return val
+
+
 class NagaoDatum:
     """Validated directly split datum with precomputed navigation tables."""
 
@@ -90,12 +105,17 @@ class NagaoDatum:
         )
         # decomp[g] = (s, h) with g = reps[s] * h, h in h0; s is 0-based
         self.decomp = algebra.coset_decomposition(gamma0, h0, self.reps)
-        # nav[g][s-1] = (s', h) with g * reps[s-1] = reps[s'-1] * h; 1-based rays
+        # nav[g][s-1] = (s', h) with g * gamma_s = gamma_{s'} * h, h in h0,
+        # for 1-based ray indices s and s'; gamma_s = reps[s-1]
         self.nav = tuple(
-            tuple(self.decomp[gamma0.mul(g, r)] for r in self.reps)
+            tuple((s + 1, h) for s, h in
+                  (self.decomp[gamma0.mul(g, r)] for r in self.reps))
             for g in range(gamma0.order)
         )
         self.ident0 = gamma0.identity
+        # root_tables[j] = (table, identity, inverse, action rows) of U_j,
+        # read straight off the schedule slot on first use of position j
+        self.root_tables = _ByPosition(self._root_tables)
 
     # -- root group schedule -------------------------------------------------
 
@@ -107,18 +127,12 @@ class NagaoDatum:
             return self.prefix[idx]
         return self.period[(idx - len(self.prefix)) % len(self.period)]
 
+    def _root_tables(self, j: int) -> tuple:
+        rd = self.root(j)
+        return rd.group.table, rd.group.identity, rd.group.inverse, rd.action.rows
+
     def q(self, i: int) -> int:
         return self.profile.q(i)
-
-    def theta(self, j: int, h: int, u: int) -> int:
-        """Image of u in U_j under the action of h in h0 (parent index)."""
-        return self.root(j).action.rows[h][u]
-
-    def ray_shift(self, g0: int, s: int) -> tuple[int, int]:
-        """For g0 in Gamma0 and ray index s (1-based): the (s', h) with
-        g0 * gamma_s = gamma_{s'} * h."""
-        sp, h = self.nav[g0][s - 1]
-        return sp + 1, h
 
     def __repr__(self) -> str:
         return f"NagaoDatum({self.name or 'custom'}, k={self.k})"

@@ -5,10 +5,9 @@ forest of vertices of level >= l(x), and the horosphere HS(x) its level-l(x)
 part.  Cutting a ball at level i gives the horoballs (components of levels
 >= i) and the components of levels <= i; the two families meet in the
 level-i horospheres.  One memoised cut (`level_cut`) floods every piece of a
-side once, and `horoball` and `component` are lookups in it, as is the
-uniform piece (the component of the base vertex).  Balls, horoballs and
-components are convex, so in-ball parts are connected and flood fill is
-exact.
+side once; `horoball`, `horoballs` and `component_graph` read their pieces
+off it.  Balls, horoballs and components are convex, so in-ball parts are
+connected and flood fill is exact.
 
 The component graph joins components on a common horosphere: a block graph
 with one clique per horosphere.  A geodesic is read off the ball as the
@@ -32,16 +31,6 @@ from . import words as W
 from .datum import NagaoDatum
 from .errors import LevelTooHigh, LevelZeroBase, NagaoError, NotInGraph
 from .tree import TruncatedTree, Vertex
-
-
-def level_increasing_ray(d: NagaoDatum, x: Vertex, length: int) -> list[Vertex]:
-    """The unique ray from x along which the level increases by 1 per step."""
-    if x[2] == 0:
-        raise LevelZeroBase(f"{x} has level 0: no level-increasing ray")
-    out = [x]
-    for _ in range(length):
-        out.append(T.up_neighbor(d, out[-1]))
-    return out
 
 
 @dataclass(eq=False)
@@ -112,10 +101,6 @@ def horoballs(t: TruncatedTree, i: int) -> tuple[Piece, ...]:
     return level_cut(t, i, True)[0]
 
 
-def horosphere(t: TruncatedTree, x: Vertex) -> list[Vertex]:
-    return [t.verts[vid] for vid in horoball(t, x).horosphere_ids()]
-
-
 def in_same_horosphere(d: NagaoDatum, x: Vertex, y: Vertex) -> bool:
     """Exact symbolic test: y lies on the horosphere of x."""
     if x[2] != y[2] or x[2] == 0:
@@ -134,54 +119,6 @@ def _standard_offset(d: NagaoDatum, x: Vertex, y: Vertex):
             and all(j > i for j, _ in wy[0][1])):
         return wy
     return None
-
-
-def component(t: TruncatedTree, x: Vertex, i: int) -> Piece:
-    """In-ball part of the component of x in the level-<=i forest."""
-    if x[2] > i:
-        raise LevelTooHigh(f"level {x[2]} exceeds the component bound {i}")
-    return level_cut(t, i, False)[1][t.vid(x)]
-
-
-@dataclass
-class UniformPiece:
-    """The in-ball part of Y_i (levels <= i reachable from the center),
-    together with generators of the uniform lattice acting on it and the
-    truncated fundamental domain (the k clipped rays)."""
-
-    i: int
-    vertex_ids: list[int]
-    generators: list[W.Word]
-    fundamental_domain: list[Vertex]
-    tree: TruncatedTree
-
-    @property
-    def vertices(self) -> list[Vertex]:
-        return [self.tree.verts[vid] for vid in self.vertex_ids]
-
-    def degree_in_piece(self, vid: int) -> int:
-        member = set(self.vertex_ids)
-        return sum(1 for u in self.tree.adj[vid] if u in member)
-
-
-def uniform_piece(d: NagaoDatum, i: int, radius: int) -> UniformPiece:
-    """Y_i intersected with the standard ball, plus Delta_i generators; the
-    piece is the level-<=i component of the base vertex."""
-    t = T.ball(d, T.base_vertex(), radius)
-    ids = component(t, T.base_vertex(), i).vertex_ids
-    gens = [W.generator(s, j, u)
-            for s in range(1, d.k + 1)
-            for j in range(1, i + 1)
-            for u in range(d.root(j).group.order)
-            if u != d.root(j).group.identity]
-    fd = [T.base_vertex()] + [
-        (W.EMPTY, s, lev)
-        for s in range(1, d.k + 1)
-        for lev in range(1, min(i, radius) + 1)
-    ]
-    fd = [v for v in fd if v in t]
-    return UniformPiece(i=i, vertex_ids=ids, generators=gens,
-                        fundamental_domain=fd, tree=t)
 
 
 @dataclass

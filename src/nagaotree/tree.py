@@ -56,14 +56,12 @@ def validate_address(d: NagaoDatum, v: Vertex) -> None:
 
 def act(d: NagaoDatum, g: Gamma, v: Vertex) -> Vertex:
     """Image of the vertex under a group element (g0, w_g)."""
-    w, s, i = v
     g0, wg = g
-    w2 = W.delta_mul(d, wg, w)
-    if g0 != d.ident0:
-        w2 = W.gamma0_conj(d, g0, w2)
-        s2 = d.ray_shift(g0, s)[0] if i > 0 else 0
-    else:
-        s2 = s
+    if g0 == d.ident0:
+        return act_word(d, wg, v)
+    w, s, i = v
+    w2 = W.gamma0_conj(d, g0, W.delta_mul(d, wg, w))
+    s2 = d.nav[g0][s - 1][0] if i > 0 else 0
     return (W.canon_coset(d, w2, i, s2), s2, i)
 
 
@@ -87,11 +85,11 @@ def neighbors(d: NagaoDatum, v: Vertex, checked: bool = True) -> list[Vertex]:
     if i == 0:
         return [(W.canon_coset(d, w, 1, t), t, 1) for t in range(1, d.k + 1)]
     out = [(W.canon_coset(d, w, i + 1, s), s, i + 1)]
-    grp = d.root(i).group
+    table, identity, _, _ = d.root_tables[i]
     down_level = i - 1
     s_down = s if down_level > 0 else 0
-    for u in range(grp.order):
-        if u == grp.identity:
+    for u in range(len(table)):
+        if u == identity:
             w2 = w
         else:
             w2 = W.delta_mul(d, w, ((s, ((i, u),)),))

@@ -15,6 +15,14 @@ The identity word is the empty tuple.  Words multiply by concatenation with
 cascading reduction at the junction; Gamma0 acts on words by conjugation,
 permuting ray indices via the coset navigation table and twisting payload
 entries by the h0-action.
+
+The kernels rely on two facts about normal forms (Serre, Trees, ch. I 1.2):
+reduction happens only at the junction of two normal forms, so a product
+never looks past the syllables that meet at the seam; and payload positions
+ascend, so canonicalising modulo a vertex stabilizer cuts a suffix off the
+last payload.  The multiplication table, identity, inverses and h0-action
+rows of U_j live on the datum (`d.root_tables[j]`), and the Gamma0 side reads
+`d.nav` and the Gamma0 table directly.
 """
 
 from __future__ import annotations
@@ -44,9 +52,9 @@ def payload_mul(d: NagaoDatum, a: Payload, b: Payload) -> Payload:
             out.append(b[ib])
             ib += 1
         else:
-            grp = d.root(ja).group
-            u = grp.mul(ua, ub)
-            if u != grp.identity:
+            table, identity, _, _ = d.root_tables[ja]
+            u = table[ua][ub]
+            if u != identity:
                 out.append((ja, u))
             ia += 1
             ib += 1
@@ -56,7 +64,8 @@ def payload_mul(d: NagaoDatum, a: Payload, b: Payload) -> Payload:
 
 
 def payload_inv(d: NagaoDatum, a: Payload) -> Payload:
-    return tuple((j, d.root(j).group.inv(u)) for j, u in a)
+    tables = d.root_tables
+    return tuple((j, tables[j][2][u]) for j, u in a)
 
 
 def syllable_word(s: int, payload: Payload) -> Word:
@@ -72,22 +81,25 @@ def generator(s: int, j: int, u: int) -> Word:
 
 
 def delta_mul(d: NagaoDatum, a: Word, b: Word) -> Word:
-    """Product in Delta: concatenation, fully reduced at the junction."""
-    if not a:
-        return b
-    if not b:
-        return a
-    out = list(a)
-    for syl in b:
-        if out and out[-1][0] == syl[0]:
-            pay = payload_mul(d, out[-1][1], syl[1])
-            if pay:
-                out[-1] = (syl[0], pay)
-            else:
-                out.pop()
-        else:
-            out.append(syl)
-    return tuple(out)
+    """Product in Delta: concatenation, reduced at the junction only.
+
+    Both factors are normal forms, so only the syllables meeting at the
+    seam can merge or cancel: the cascade walks back from the seam while
+    the last ray of the left part equals the first ray of the right part.
+    """
+    if not a or not b or a[-1][0] != b[0][0]:
+        return a + b
+    ia, ib, lb = len(a) - 1, 0, len(b)
+    while True:
+        s, pay_a = a[ia]
+        pay = payload_mul(d, pay_a, b[ib][1])
+        if pay:
+            return a[:ia] + ((s, pay),) + b[ib + 1:]
+        # a[ia] and b[ib] cancel: go on while the next pair meets at one ray
+        ib += 1
+        if not ia or ib == lb or a[ia - 1][0] != b[ib][0]:
+            return a[:ia] + b[ib:]
+        ia -= 1
 
 
 def delta_inv(d: NagaoDatum, a: Word) -> Word:
@@ -101,13 +113,15 @@ def gamma0_conj(d: NagaoDatum, g0: int, w: Word) -> Word:
     and its payload entries are twisted by the h0-action of h.  Since
     s -> s' is a bijection, the result is already in normal form.
     """
-    if g0 == d.ident0 or not w:
+    ident0 = d.ident0
+    if g0 == ident0 or not w:
         return w
+    nav, tables = d.nav[g0], d.root_tables
     out = []
     for s, pay in w:
-        sp, h = d.ray_shift(g0, s)
-        if h != d.ident0:
-            pay = tuple((j, d.theta(j, h, u)) for j, u in pay)
+        sp, h = nav[s - 1]
+        if h != ident0:
+            pay = tuple((j, tables[j][3][h][u]) for j, u in pay)
         out.append((sp, pay))
     return tuple(out)
 
@@ -120,8 +134,8 @@ def gamma_mul(d: NagaoDatum, a: Gamma, b: Gamma) -> Gamma:
     """(g, w)(g', w') = (g g', conj(g'^-1, w) * w')."""
     g, w = a
     gp, wp = b
-    g0 = d.gamma0.mul(g, gp)
-    return (g0, delta_mul(d, gamma0_conj(d, d.gamma0.inv(gp), w), wp))
+    g0 = d.gamma0.table[g][gp]
+    return (g0, delta_mul(d, gamma0_conj(d, d.gamma0.inverse[gp], w), wp))
 
 
 def gamma_inv(d: NagaoDatum, a: Gamma) -> Gamma:
@@ -142,20 +156,19 @@ def canon_coset(d: NagaoDatum, w: Word, i: int, s: int) -> Word:
 
     The stabilizer is U_{1,s} x ... x U_{i,s}, i.e. single syllables at ray s
     supported at positions <= i.  Canonicalization deletes the positions <= i
-    from the final syllable when its ray index is s; if that empties the
-    syllable it is removed (no cascade is possible: the previous syllable has
-    a different ray index).
+    from the final syllable when its ray index is s; payload positions
+    ascend, so what is kept is a suffix.  If that empties the syllable it is
+    removed (no cascade is possible: the previous syllable has a different
+    ray index).
     """
     if i == 0 or not w:
         return w
     s_last, pay = w[-1]
-    if s_last != s:
+    if s_last != s or pay[0][0] > i:
         return w
-    kept = tuple(x for x in pay if x[0] > i)
-    if len(kept) == len(pay):
-        return w
-    if kept:
-        return w[:-1] + ((s, kept),)
+    for n in range(1, len(pay)):
+        if pay[n][0] > i:
+            return w[:-1] + ((s, pay[n:]),)
     return w[:-1]
 
 
@@ -169,8 +182,8 @@ def is_normal_form(d: NagaoDatum, w: Word) -> bool:
         for j, u in pay:
             if j <= last_j:
                 return False
-            grp = d.root(j).group
-            if not 0 <= u < grp.order or u == grp.identity:
+            table, identity, _, _ = d.root_tables[j]
+            if not 0 <= u < len(table) or u == identity:
                 return False
             last_j = j
     return True

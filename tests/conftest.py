@@ -4,6 +4,12 @@ The oracles deliberately avoid the package's own BFS/flood machinery: ball
 sizes come from a degree recursion over the q-schedule, group tables from
 permutation composition, coset counts from brute-force enumeration, and
 vertex-group tables from the semidirect-product formula on digit tuples.
+The word-kernel oracles are the plain loop forms of the library kernels:
+they reduce a product syllable by syllable over the whole right factor,
+filter the whole last payload, and reach every root group through
+`d.root(j).group`.  The horo helpers at the end are the test-only views
+(rays, horospheres, components, the uniform piece) read off the library's
+level cut.
 """
 
 from __future__ import annotations
@@ -16,7 +22,10 @@ import pytest
 
 from nagaotree import algebra as A
 from nagaotree import datum as D
+from nagaotree import horo as H
 from nagaotree import tree as T
+from nagaotree import words as W
+from nagaotree.errors import LevelTooHigh, LevelZeroBase
 
 
 @pytest.fixture(scope="session")
@@ -288,3 +297,148 @@ def all_level_matchings(d, c, c2, level_bound=None):
         for block in combo:
             pairs.update(dict(block))
         yield pairs
+
+
+# -- word-kernel oracles ---------------------------------------------------------
+
+def payload_mul_oracle(d, a, b):
+    """Componentwise product of two payloads by a full merge."""
+    out = []
+    ia, ib = 0, 0
+    la, lb = len(a), len(b)
+    while ia < la and ib < lb:
+        ja, ua = a[ia]
+        jb, ub = b[ib]
+        if ja < jb:
+            out.append(a[ia])
+            ia += 1
+        elif jb < ja:
+            out.append(b[ib])
+            ib += 1
+        else:
+            grp = d.root(ja).group
+            u = grp.mul(ua, ub)
+            if u != grp.identity:
+                out.append((ja, u))
+            ia += 1
+            ib += 1
+    out.extend(a[ia:])
+    out.extend(b[ib:])
+    return tuple(out)
+
+
+def payload_inv_oracle(d, a):
+    return tuple((j, d.root(j).group.inv(u)) for j, u in a)
+
+
+def delta_mul_oracle(d, a, b):
+    """Product in Delta, reducing against every syllable of b in turn."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = list(a)
+    for syl in b:
+        if out and out[-1][0] == syl[0]:
+            pay = payload_mul_oracle(d, out[-1][1], syl[1])
+            if pay:
+                out[-1] = (syl[0], pay)
+            else:
+                out.pop()
+        else:
+            out.append(syl)
+    return tuple(out)
+
+
+def gamma0_conj_oracle(d, g0, w):
+    """g0 * w * g0^-1 syllable by syllable, finding each (s', h) with
+    g0 * gamma_s = gamma_{s'} * h by a scan over the cosets of H0."""
+    g = d.gamma0
+    out = []
+    for s, pay in w:
+        target = g.mul(g0, d.reps[s - 1])
+        sp, h = next((sp, h) for sp in range(1, d.k + 1) for h in d.h0.members
+                     if g.mul(d.reps[sp - 1], h) == target)
+        out.append((sp, tuple((j, d.root(j).action.rows[h][u])
+                              for j, u in pay)))
+    return tuple(out)
+
+
+def canon_coset_oracle(d, w, i, s):
+    """Canonical coset word: filter the positions <= i out of the whole
+    last payload when it sits at ray s."""
+    if i == 0 or not w:
+        return w
+    s_last, pay = w[-1]
+    if s_last != s:
+        return w
+    kept = tuple(x for x in pay if x[0] > i)
+    if len(kept) == len(pay):
+        return w
+    if kept:
+        return w[:-1] + ((s, kept),)
+    return w[:-1]
+
+
+# -- test-only horo views ----------------------------------------------------------
+
+def level_increasing_ray(d, x, length: int) -> list:
+    """The unique ray from x along which the level increases by 1 per step."""
+    if x[2] == 0:
+        raise LevelZeroBase(f"{x} has level 0: no level-increasing ray")
+    out = [x]
+    for _ in range(length):
+        out.append(T.up_neighbor(d, out[-1]))
+    return out
+
+
+def horosphere(t, x) -> list:
+    return [t.verts[vid] for vid in H.horoball(t, x).horosphere_ids()]
+
+
+def component(t, x, i: int):
+    """In-ball part of the component of x in the level-<=i forest."""
+    if x[2] > i:
+        raise LevelTooHigh(f"level {x[2]} exceeds the component bound {i}")
+    return H.level_cut(t, i, False)[1][t.vid(x)]
+
+
+@dataclass
+class UniformPiece:
+    """The in-ball part of Y_i (levels <= i reachable from the center),
+    together with generators of the uniform lattice acting on it and the
+    truncated fundamental domain (the k clipped rays)."""
+
+    i: int
+    vertex_ids: list
+    generators: list
+    fundamental_domain: list
+    tree: T.TruncatedTree
+
+    @property
+    def vertices(self) -> list:
+        return [self.tree.verts[vid] for vid in self.vertex_ids]
+
+    def degree_in_piece(self, vid: int) -> int:
+        member = set(self.vertex_ids)
+        return sum(1 for u in self.tree.adj[vid] if u in member)
+
+
+def uniform_piece(d, i: int, radius: int) -> UniformPiece:
+    """Y_i intersected with the standard ball, plus Delta_i generators; the
+    piece is the level-<=i component of the base vertex."""
+    t = T.ball(d, T.base_vertex(), radius)
+    ids = component(t, T.base_vertex(), i).vertex_ids
+    gens = [W.generator(s, j, u)
+            for s in range(1, d.k + 1)
+            for j in range(1, i + 1)
+            for u in range(d.root(j).group.order)
+            if u != d.root(j).group.identity]
+    fd = [T.base_vertex()] + [
+        (W.EMPTY, s, lev)
+        for s in range(1, d.k + 1)
+        for lev in range(1, min(i, radius) + 1)
+    ]
+    fd = [v for v in fd if v in t]
+    return UniformPiece(i=i, vertex_ids=ids, generators=gens,
+                        fundamental_domain=fd, tree=t)

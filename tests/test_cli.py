@@ -123,6 +123,16 @@ def test_suite_negative_samples_exit_2(capsys):
         cli.RunConfig(samples=-1)
 
 
+def test_suite_level_below_one_exit_2(capsys):
+    # a level below 1 used to run silently as level 2
+    code, out, err = _refused(capsys, "suite", "--datum", "D0", "--radius",
+                              "2", "--level=-3")
+    assert code == 2 and out == ""
+    assert err == "invalid config: level must be at least 1\n"
+    with pytest.raises(ValueError):
+        cli.RunConfig(level=0)
+
+
 def test_suite_empty_selection_exit_2(capsys):
     # all() over no reports used to pass the run
     code, out, err = _refused(capsys, "suite", "--datum", "D0", "--radius",

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import bfs_component_geodesic, horoball_oracle
+from conftest import (bfs_component_geodesic, component, horoball_oracle,
+                      horosphere, level_increasing_ray, uniform_piece)
 from nagaotree import datum as D
 from nagaotree import horo as H
 from nagaotree import tree as T
@@ -16,24 +17,24 @@ from nagaotree.errors import LevelTooHigh, LevelZeroBase, NotInGraph
 
 
 def test_level_increasing_ray(d0):
-    ray = H.level_increasing_ray(d0, T.ray_vertex(1), 3)
+    ray = level_increasing_ray(d0, T.ray_vertex(1), 3)
     assert ray == [T.ray_vertex(i) for i in (1, 2, 3, 4)]
     u_x1 = T.act_word(d0, W.generator(1, 1, 1), T.ray_vertex(1))
-    ray2 = H.level_increasing_ray(d0, u_x1, 2)
+    ray2 = level_increasing_ray(d0, u_x1, 2)
     assert [v[2] for v in ray2] == [1, 2, 3]
     assert ray2[0] == u_x1
     # each step is indeed a neighbor
     for a, b in zip(ray2, ray2[1:]):
         assert b in T.neighbors(d0, a)
     with pytest.raises(LevelZeroBase):
-        H.level_increasing_ray(d0, T.base_vertex(), 1)
+        level_increasing_ray(d0, T.base_vertex(), 1)
 
 
 def test_horosphere_is_orbit_of_high_syllables(d0):
     # the level-1 standard horosphere is the orbit of x_1 under words
     # supported strictly above level 1 at ray 1, and the action is free
     t = T.ball(d0, T.base_vertex(), 5)
-    hs = set(H.horosphere(t, T.ray_vertex(1)))
+    hs = set(horosphere(t, T.ray_vertex(1)))
     orbit = []
     for pay in W.enumerate_payloads(d0, [2, 3, 4, 5, 6]):
         v = T.act_word(d0, W.syllable_word(1, pay), T.ray_vertex(1))
@@ -75,7 +76,7 @@ def _check_membership(name, radius):
     t = T.ball(d, T.base_vertex(), radius)
     lvl = [t.verts[v] for v in range(t.n) if t.level(v) in (1, 2)]
     for x in lvl:
-        sphere = set(H.horosphere(t, x))
+        sphere = set(horosphere(t, x))
         for y in lvl:
             if y[2] == x[2]:
                 assert H.in_same_horosphere(d, x, y) == (y in sphere), (x, y)
@@ -140,11 +141,13 @@ def test_component_graph_cycle_raises_under_python_O():
 
 def test_component_of_base_is_uniform_piece(d0):
     t = T.ball(d0, T.base_vertex(), 4)
-    comp = H.component(t, T.base_vertex(), 1)
-    up = H.uniform_piece(d0, 1, 4)
+    comp = component(t, T.base_vertex(), 1)
+    up = uniform_piece(d0, 1, 4)
     assert comp.vertex_ids == up.vertex_ids
+    assert comp.vertex_ids == T.flood(t, t.vid(T.base_vertex()),
+                                      lambda u: t.level(u) <= 1)
     with pytest.raises(LevelTooHigh):
-        H.component(t, T.ray_vertex(2), 1)
+        component(t, T.ray_vertex(2), 1)
 
 
 def test_component_graph_edges_match_shared_horospheres(d0):
@@ -265,7 +268,7 @@ def test_horosphere_membership_symbolic_d3(d3):
     t = T.ball(d3, T.base_vertex(), 5)
     lvl = [t.verts[v] for v in range(t.n) if t.level(v) in (1, 2)]
     for x in lvl[::3]:
-        sphere = set(H.horosphere(t, x))
+        sphere = set(horosphere(t, x))
         for y in lvl:
             if y[2] == x[2] and y in sphere:
                 assert H.in_same_horosphere(d3, x, y)

@@ -3,10 +3,9 @@ import random
 
 import pytest
 
-from conftest import ball_size_oracle
+from conftest import ball_size_oracle, uniform_piece
 from nagaotree import algebra as A
 from nagaotree import datum as D
-from nagaotree import horo as H
 from nagaotree import tree as T
 from nagaotree import words as W
 from nagaotree.errors import NonCanonicalAddress, NotInTruncation
@@ -193,7 +192,7 @@ def test_every_vertex_is_unique_translate_of_star(d0, ball_d0_6):
 
 
 def test_uniform_piece_d0(d0):
-    up = H.uniform_piece(d0, 1, 4)
+    up = uniform_piece(d0, 1, 4)
     t = up.tree
     levels = {t.level(vid) for vid in up.vertex_ids}
     assert levels == {0, 1}
@@ -209,7 +208,7 @@ def test_uniform_piece_d0(d0):
 
 
 def test_uniform_piece_orbit_covers_level_zero(d0):
-    up = H.uniform_piece(d0, 1, 4)
+    up = uniform_piece(d0, 1, 4)
     t = up.tree
     piece = {t.verts[v] for v in up.vertex_ids}
     targets = {v for v in piece if v[2] == 0}
@@ -229,7 +228,7 @@ def test_uniform_piece_orbit_covers_level_zero(d0):
 
 
 def test_uniform_piece_d3_degree_multisets(d3):
-    up = H.uniform_piece(d3, 2, 4)
+    up = uniform_piece(d3, 2, 4)
     t = up.tree
     by_level = {}
     for vid in up.vertex_ids:

@@ -4,6 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import (canon_coset_oracle, delta_mul_oracle, gamma0_conj_oracle,
+                      payload_inv_oracle, payload_mul_oracle, twisted_datum)
+from nagaotree import datum as D
 from nagaotree import tree as T
 from nagaotree import words as W
 
@@ -252,3 +255,91 @@ def test_word_json_roundtrip(d3):
     assert W.word_from_json(d3, W.word_to_json(w)) == w
     with pytest.raises(ValueError):
         W.word_from_json(d3, [{"s": 1, "t": {}}])
+
+
+# -- the kernels against their loop-form oracles ---------------------------------
+
+KERNEL_DATA = {name: D.builtin(name) for name in D.BUILTIN_NAMES}
+KERNEL_DATA["twisted"] = twisted_datum()
+POSITIONS = (1, 2, 3, 4)
+
+
+@st.composite
+def normal_words(draw, d, max_len=4):
+    """Random normal-form words: syllables at alternating rays, each with
+    one to three ascending positions and non-identity entries."""
+    out, last = [], 0
+    for _ in range(draw(st.integers(0, max_len))):
+        s = draw(st.sampled_from([t for t in range(1, d.k + 1) if t != last]))
+        js = sorted(draw(st.sets(st.sampled_from(POSITIONS),
+                                 min_size=1, max_size=3)))
+        pay = []
+        for j in js:
+            grp = d.root(j).group
+            pay.append((j, draw(st.sampled_from(
+                [u for u in range(grp.order) if u != grp.identity]))))
+        out.append((s, tuple(pay)))
+        last = s
+    return tuple(out)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DATA))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_delta_mul_matches_oracle(name, data):
+    d = KERNEL_DATA[name]
+    a = data.draw(normal_words(d))
+    b = data.draw(normal_words(d))
+    assert W.delta_mul(d, a, b) == delta_mul_oracle(d, a, b)
+    assert W.is_normal_form(d, W.delta_mul(d, a, b))
+    for w in (a, b):
+        assert W.delta_mul(d, W.EMPTY, w) == w == W.delta_mul(d, w, W.EMPTY)
+    # a product that cancels to the empty word
+    a_inv = W.delta_inv(d, a)
+    assert W.delta_mul(d, a, a_inv) == W.EMPTY == delta_mul_oracle(d, a, a_inv)
+    # the cascade w . (w^-1 . v) walks back through all of w
+    inner = W.delta_mul(d, a_inv, b)
+    assert inner == delta_mul_oracle(d, a_inv, b)
+    assert W.delta_mul(d, a, inner) == b == delta_mul_oracle(d, a, inner)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DATA))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_payload_kernels_match_oracle(name, data):
+    d = KERNEL_DATA[name]
+    a = data.draw(normal_words(d, max_len=1))
+    b = data.draw(normal_words(d, max_len=1))
+    pa = a[0][1] if a else ()
+    pb = b[0][1] if b else ()
+    assert W.payload_mul(d, pa, pb) == payload_mul_oracle(d, pa, pb)
+    assert W.payload_inv(d, pa) == payload_inv_oracle(d, pa)
+    assert W.payload_mul(d, pa, W.payload_inv(d, pa)) == ()
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DATA))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_canon_coset_matches_oracle(name, data):
+    d = KERNEL_DATA[name]
+    w = data.draw(normal_words(d))
+    i = data.draw(st.integers(0, max(POSITIONS) + 1))
+    s = data.draw(st.integers(1, d.k))
+    if w and data.draw(st.booleans()):
+        s = w[-1][0]  # the last syllable sits at the stabilizer's ray
+    assert W.canon_coset(d, w, i, s) == canon_coset_oracle(d, w, i, s)
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_DATA))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_gamma_kernels_match_oracle(name, data):
+    d = KERNEL_DATA[name]
+    g0 = data.draw(st.integers(0, d.gamma0.order - 1))
+    gp = data.draw(st.integers(0, d.gamma0.order - 1))
+    w = data.draw(normal_words(d))
+    v = data.draw(normal_words(d))
+    assert W.gamma0_conj(d, g0, w) == gamma0_conj_oracle(d, g0, w)
+    expect = (d.gamma0.mul(g0, gp),
+              delta_mul_oracle(d, gamma0_conj_oracle(d, d.gamma0.inv(gp), w), v))
+    assert W.gamma_mul(d, (g0, w), (gp, v)) == expect
