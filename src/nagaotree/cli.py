@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,17 +77,21 @@ def load_map(d: D.NagaoDatum, path: str) -> E.TreeMap:
     return E.TreeMap(d, pairs)
 
 
-def _write(cfg: RunConfig, text: str) -> None:
-    """Write a report to --out, creating its directory, or to stdout."""
+@contextmanager
+def _sink(cfg: RunConfig):
+    """The `write` of --out, creating its directory, or of stdout."""
     if cfg.out:
         Path(cfg.out).parent.mkdir(parents=True, exist_ok=True)
-        Path(cfg.out).write_text(text)
+        with open(cfg.out, "w") as fh:
+            yield fh.write
     else:
-        sys.stdout.write(text)
+        yield sys.stdout.write
 
 
 def _emit(cfg: RunConfig, payload: dict) -> None:
-    _write(cfg, S.dumps_canonical(payload))
+    """Stream the canonical JSON text of a report to the sink."""
+    with _sink(cfg) as write:
+        S.write_canonical(payload, write)
 
 
 # what a malformed datum or map file raises
@@ -115,7 +120,9 @@ def cmd_validate(cfg: RunConfig, d: D.NagaoDatum) -> int:
 def cmd_tree(cfg: RunConfig, d: D.NagaoDatum) -> int:
     t = T.ball(d, T.base_vertex(), cfg.radius)
     if cfg.format == "dot":
-        _write(cfg, S.tree_to_dot(t) + "\n")
+        with _sink(cfg) as write:
+            for line in S.tree_to_dot(t):
+                write(line)
     else:
         _emit(cfg, {"command": "tree", "ok": True, "tree": t.to_json()})
     return EXIT_PASS
@@ -193,7 +200,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sp = command("tree", "build and export a ball")
     sp.add_argument("--format", choices=("json", "dot"))
     sp = command("suite", "run invariant suites")
-    sp.add_argument("--level", type=int)
+    sp.add_argument("--level", type=int,
+                    help="top level of the transport and li checks, with a "
+                         "floor of 2: level 1 runs exactly what level 2 runs")
     sampled(sp)
     sp.add_argument("--suites", help="comma-separated subset of "
                                      + ",".join(SU.SUITE_NAMES))

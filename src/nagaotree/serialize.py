@@ -1,14 +1,31 @@
 """JSON and DOT serialization for addresses, trees, graphs and reports,
 and the shared check tally of the reports.
 
-Every report is written by `dumps_canonical`, a canonical JSON writer: its
-text is exactly `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.  It
-exists because `indent` makes `json` leave its C encoder for the pure-Python
-one on the supported Python versions (3.10, 3.11), and the large ball and
-codistance reports spend most of their time there.  The writer walks the
-containers itself and encodes the leaves with json's C string encoder and
-`int.__repr__`.  Unlike json, it does not detect circular containers: no
-report contains one.
+Every report is written by one canonical JSON writer, `write_canonical(obj,
+write)`: its text is exactly `json.dumps(obj, indent=2, sort_keys=True) +
+"\n"`.  It exists because `indent` makes `json` leave its C encoder for the
+pure-Python one on the supported Python versions (3.10, 3.11), and the large
+ball and codistance reports spend most of their time there.  The writer
+walks the containers itself and encodes the leaves with json's C string
+encoder and `int.__repr__`.  Unlike json, it does not detect circular
+containers: no report contains one.
+
+The sink contract: `write` is any callable that takes a str, such as the
+`write` of a file opened in text mode, `sys.stdout.write`, or the `append`
+of a list.  The writer buffers its chunks and calls `write` once per
+`BATCH` chunks and once more at the end; the text of all the calls, in
+order, is the report.  `dumps_canonical` is the same writer with a list as
+its sink.  A value json refuses raises json's own TypeError where the writer
+meets it, so a write that fails part way leaves a partial output in the
+sink.  Every report the library builds holds only values json accepts, and
+`Rows`, so this cannot happen for them.
+
+The `Rows` contract: `Rows(n, make)` stands for a list of `n` rows that
+`make()` returns as an iterable of exactly `n` rows, so a large report never
+holds all its rows at once.  The writer treats it as a list: it writes `[]` when `n == 0`, and
+otherwise iterates it exactly once (one call of `make`), writing each row
+as it comes.  It never takes the list-of-ints fast path on it.  No other
+iterable stands for a list.
 """
 
 from __future__ import annotations
@@ -43,23 +60,22 @@ def vertex_label(v) -> str:
     return f"[{core}|s{s}|L{i}]"
 
 
-def tree_to_dot(t) -> str:
-    """DOT export with same-level vertices ranked together."""
-    lines = ["graph ball {", "  rankdir=TB;"]
+def tree_to_dot(t):
+    """DOT export with same-level vertices ranked together, as lines
+    (each ending in a newline) for a sink."""
+    yield "graph ball {\n"
+    yield "  rankdir=TB;\n"
     by_level: dict[int, list[int]] = {}
     for vid, v in enumerate(t.verts):
         by_level.setdefault(v[2], []).append(vid)
     for lev in sorted(by_level):
         ids = " ".join(f'v{i};' for i in by_level[lev])
-        lines.append(f"  {{ rank=same; {ids} }}")
+        yield f"  {{ rank=same; {ids} }}\n"
     for vid, v in enumerate(t.verts):
-        lines.append(f'  v{vid} [label="{vertex_label(v)}" level={v[2]}];')
-    for a in range(t.n):
-        for b in t.adj[a]:
-            if a < b:
-                lines.append(f"  v{a} -- v{b};")
-    lines.append("}")
-    return "\n".join(lines)
+        yield f'  v{vid} [label="{vertex_label(v)}" level={v[2]}];\n'
+    for a, b in t.edges():
+        yield f"  v{a} -- v{b};\n"
+    yield "}\n"
 
 
 def component_graph_to_dot(g) -> str:
@@ -77,21 +93,53 @@ def component_graph_to_dot(g) -> str:
     return "\n".join(lines)
 
 
-def dump_json(obj: Any, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write(dumps_canonical(obj))
+class Rows:
+    """A list of `n` rows that `make()` returns when the writer reaches it
+    (see the module docstring); each iteration calls `make` afresh."""
+
+    __slots__ = ("n", "make")
+
+    def __init__(self, n: int, make):
+        self.n = n
+        self.make = make
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return iter(self.make())
+
+
+# chunks the writer buffers per call of its sink
+BATCH = 4096
+
+
+def write_canonical(obj: Any, write) -> None:
+    """Write the text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`
+    to the sink `write`, in batches of `BATCH` chunks."""
+    chunks: list[str] = []
+
+    def out(chunk: str) -> None:
+        chunks.append(chunk)
+        if len(chunks) >= BATCH:
+            write("".join(chunks))
+            chunks.clear()
+
+    chunks.append(_write_value(obj, "", "\n", out) + "\n")
+    write("".join(chunks))
 
 
 def dumps_canonical(obj: Any) -> str:
-    """The text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`.
+    """The text of `json.dumps(obj, indent=2, sort_keys=True) + "\n"`,
+    from `write_canonical` with a list as its sink."""
+    parts: list[str] = []
+    write_canonical(obj, parts.append)
+    return "".join(parts)
 
-    Circular containers are not detected (no report has one); anything
-    json refuses raises json's own TypeError.
-    """
-    chunks: list[str] = []
-    tail = _write_value(obj, "", "\n", chunks.append)
-    chunks.append(tail + "\n")
-    return "".join(chunks)
+
+def dump_json(obj: Any, path: str) -> None:
+    with open(path, "w") as fh:
+        write_canonical(obj, fh.write)
 
 
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -115,12 +163,12 @@ def _write_value(o: Any, pre: str, nl: str, out) -> str:
     if o is True or o is False or o is None:
         out(pre + _LITERALS[o])
         return ""
-    if isinstance(o, (list, tuple)):
+    if isinstance(o, (list, tuple, Rows)):
         if not o:
             out(pre + "[]")
             return ""
         inner = nl + "  "
-        if all(type(v) is int for v in o):
+        if kind is not Rows and all(type(v) is int for v in o):
             out(pre + "[" + inner + ("," + inner).join(map(int.__repr__, o)))
             return nl + "]"
         items = iter(o)

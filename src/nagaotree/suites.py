@@ -169,6 +169,13 @@ def suite_codist(d: NagaoDatum, radius: int) -> SuiteReport:
 
 def run_suites(d: NagaoDatum, radius: int, names=SUITE_NAMES, samples: int = 0,
                seed: int = 0, level: int = 2) -> list[SuiteReport]:
+    """Run the named suites on the radius-`radius` ball of `d`.
+
+    `level` has a floor of 2: the transport and li suites check the levels
+    1..max(2, level), and the horoball suite goes up to max(3, level), so
+    level 1 runs exactly what level 2 runs.  The CLI default is level 1
+    and every pinned report depends on it, so the floor stays.
+    """
     levels = tuple(range(1, max(2, level) + 1))
     out = []
     for name in names:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import words as W
 from .datum import NagaoDatum
 from .errors import NonCanonicalAddress, NotInTruncation
-from .serialize import vertex_to_json
+from .serialize import Rows, vertex_to_json
 from .words import Gamma, Word
 
 Vertex = tuple  # (word, s, i)
@@ -109,8 +109,9 @@ class TruncatedTree:
     """Radius-rho ball around a center vertex, with exact addresses.
 
     Vertices are indexed in BFS discovery order; `parent` gives the tree
-    structure toward the center, `adj` the full in-ball adjacency.  A vertex
-    is interior when all its tree neighbors lie in the ball.
+    structure toward the center, `adj` the full in-ball adjacency, each list
+    with the BFS parent first and then the children in increasing id.  A
+    vertex is interior when all its tree neighbors lie in the ball.
     """
 
     datum: NagaoDatum
@@ -147,19 +148,29 @@ class TruncatedTree:
     def degree(self, vid: int) -> int:
         return len(self.adj[vid])
 
+    def edges(self):
+        """The in-ball edges (a, b), a < b, in increasing order.
+
+        `adj[a]` holds the BFS parent of a first (none for the center) and
+        then its children in increasing id, since a child's id is given at
+        discovery.  The parent's id is below a and every child's above, so
+        the pairs with a < b come out sorted with no global sort.
+        """
+        adj = self.adj
+        return ((a, b) for a in range(self.n) for b in adj[a] if a < b)
+
     def to_json(self) -> dict:
-        edges = sorted(
-            (a, b) for a in range(self.n) for b in self.adj[a] if a < b
-        )
+        """The report of the ball, with its vertex and edge rows as `Rows`."""
+        verts, dist = self.verts, self.dist
         return {
             "datum": self.datum.name or "custom",
             "radius": self.radius,
-            "vertices": [
+            "vertices": Rows(self.n, lambda: (
                 {"id": i, "address": vertex_to_json(v), "level": v[2],
-                 "dist": self.dist[i]}
-                for i, v in enumerate(self.verts)
-            ],
-            "edges": [[a, b] for a, b in edges],
+                 "dist": dist[i]}
+                for i, v in enumerate(verts))),
+            "edges": Rows(sum(map(len, self.adj)) // 2,
+                          lambda: ([a, b] for a, b in self.edges())),
         }
 
 

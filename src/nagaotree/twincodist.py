@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from . import tree as T
 from . import words as W
-from .serialize import Tally, vertex_to_json
+from .serialize import Rows, Tally, vertex_to_json
 from .tree import TruncatedTree, Vertex
 
 
@@ -28,13 +28,14 @@ class CodistanceTable:
         return self.values[v]
 
     def to_json(self) -> dict:
+        """The report of the table, with its value rows, in address order,
+        as `Rows`."""
+        values = self.values
         return {
             "base": self.base_tag,
-            "values": [
-                [vertex_to_json(v), m]
-                for v, m in sorted(self.values.items(),
-                                   key=lambda p: T.address_key(p[0]))
-            ],
+            "values": Rows(len(values), lambda: (
+                [vertex_to_json(v), values[v]]
+                for v in sorted(values, key=T.address_key))),
         }
 
 

@@ -133,6 +133,18 @@ def test_suite_level_below_one_exit_2(capsys):
         cli.RunConfig(level=0)
 
 
+def test_suite_level_floor_is_two(capsys):
+    # --level 1, the default, checks levels 1 and 2 exactly as --level 2
+    argv = ("suite", "--datum", "D0", "--radius", "2",
+            "--suites", "transport,li,horoball")
+    code, out = run(capsys, *argv, "--level", "1")
+    assert code == 0
+    transport, li, horoball = json.loads(out)["reports"]
+    assert transport["info"]["levels"] == [1, 2]
+    assert horoball["info"]["max_i"] == 3
+    assert run(capsys, *argv, "--level", "2") == (code, out)
+
+
 def test_suite_empty_selection_exit_2(capsys):
     # all() over no reports used to pass the run
     code, out, err = _refused(capsys, "suite", "--datum", "D0", "--radius",

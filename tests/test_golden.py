@@ -1,4 +1,5 @@
-"""Byte-level pins of every CLI report and of three failure-path reports.
+"""Byte-level pins of every CLI report, of the DOT export and of three
+failure-path reports.
 
 A change to the report classes that keeps these sha256 values keeps every
 report byte-identical.  The failure paths overflow the failure caps: 21
@@ -64,6 +65,14 @@ CLI_SHA256 = {
         "e2c1882d240ddb5d230c4a602a541795085fbe171ae2015b35fa744155dc3e33",
 }
 
+# `tree --format dot` at radius 4
+DOT_SHA256 = {
+    "D0": "969fddf2e2d026d0a4fc0d43528af16f90ca748b0c67bec8838e0e2976725059",
+    "D1": "969fddf2e2d026d0a4fc0d43528af16f90ca748b0c67bec8838e0e2976725059",
+    "D2": "317630e7b3da389d8ea870f6c33f30ed29f69d36dad1ae9a66ee651b78a66c61",
+    "D3": "8eb47bbb849e7f9295781bee854b73fc851df5a529244f2a38cd1771cb0036f4",
+}
+
 FAILURE_SHA256 = {
     "suites":
         "8752ba9cdfdc86b37f62d2f78a5a9d7ab3acb61fdae4ec5bd73bafc75b53fc14",
@@ -125,6 +134,14 @@ def test_cli_report_bytes(command, name, request, tmp_path, monkeypatch,
     monkeypatch.setattr(cli, "load_datum", lambda source: d)
     cli.main(cli_argv(command, d, tmp_path))
     assert sha256(capsys.readouterr().out) == CLI_SHA256[command, name]
+
+
+@pytest.mark.parametrize("name", list(DOT_SHA256))
+def test_dot_report_bytes(name, request, monkeypatch, capsys):
+    d = request.getfixturevalue(name.lower())
+    monkeypatch.setattr(cli, "load_datum", lambda source: d)
+    cli.main(["tree", "--datum", name, "--radius", "4", "--format", "dot"])
+    assert sha256(capsys.readouterr().out) == DOT_SHA256[name]
 
 
 def test_suite_failure_report_bytes():

@@ -3,6 +3,11 @@
 import enum
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +19,23 @@ from nagaotree import serialize as S
 
 def oracle(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+def materialise(obj):
+    """`obj` with every `Rows` made into a list, for the oracle."""
+    if isinstance(obj, (list, tuple, S.Rows)):
+        return [materialise(v) for v in obj]
+    if isinstance(obj, dict):
+        return {k: materialise(v) for k, v in obj.items()}
+    return obj
+
+
+def write_in_batches(obj, batch: int) -> list[str]:
+    """The sink calls of `write_canonical` with `BATCH` patched to `batch`."""
+    calls: list[str] = []
+    with mock.patch.object(S, "BATCH", batch):
+        S.write_canonical(obj, calls.append)
+    return calls
 
 
 # every code point, control characters and lone surrogates included
@@ -54,12 +76,15 @@ class Tag(str):
 
 
 @settings(max_examples=400, deadline=None)
-@given(VALUES)
-@example([[], {}, [[]], {"a": {}}, ([], ())])
-@example([1, True, 2, False, None])
-@example({"\x00\x1fé\ud800": "\udfff\n ", "": [-0.0]})
-def test_writer_matches_json(value):
-    assert S.dumps_canonical(value) == oracle(value)
+@given(VALUES, st.integers(min_value=1, max_value=4))
+@example([[], {}, [[]], {"a": {}}, ([], ())], 1)
+@example([1, True, 2, False, None], 2)
+@example({"\x00\x1fé\ud800": "\udfff\n ", "": [-0.0]}, 3)
+def test_writer_matches_json(value, batch):
+    # a small batch puts the sink's call boundaries inside values
+    text = oracle(value)
+    assert S.dumps_canonical(value) == text
+    assert "".join(write_in_batches(value, batch)) == text
 
 
 @pytest.mark.parametrize("value", [
@@ -92,21 +117,106 @@ def test_writer_refuses_as_json_does(value):
     assert str(got.value) == str(want.value)
 
 
+def test_writer_batches_are_fixed_size():
+    # every sink call but the last joins exactly BATCH chunks, one per
+    # string here, each with one newline
+    value = [str(i) for i in range(20)]
+    calls = write_in_batches(value, 3)
+    assert "".join(calls) == oracle(value)
+    assert len(calls) == 7
+    assert all(call.count("\n") == 3 for call in calls[:-1])
+
+
+class Counting:
+    """A `make` that records how often the writer calls it."""
+
+    def __init__(self, rows):
+        self.rows = rows
+        self.calls = 0
+
+    def __call__(self):
+        self.calls += 1
+        return iter(self.rows)
+
+
+ROWS_CASES = {
+    "empty": [],
+    "ints": [3, -1, 2 ** 70, 0],
+    "int-lists": [[0, 1], [0, 2], [1, 3]],
+    "dicts": [{"id": 0, "level": 1, "word": []}, {"id": 1, "b": None}],
+    "mixed": [1, True, "s", 2.5, [], {}],
+}
+
+
+@pytest.mark.parametrize("rows", list(ROWS_CASES.values()), ids=list(ROWS_CASES))
+@pytest.mark.parametrize("batch", [1, 2, S.BATCH])
+def test_rows_written_as_their_list(rows, batch):
+    make = Counting(rows)
+    value = {"rows": S.Rows(len(rows), make), "after": [1, 2]}
+    want = oracle({"rows": rows, "after": [1, 2]})
+    assert "".join(write_in_batches(value, batch)) == want
+    # an empty Rows is written as [] without making its rows
+    assert make.calls == (1 if rows else 0)
+
+
+def test_nested_rows_written_as_their_list():
+    inner = [Counting([[0, 1], [1, 2]]), Counting([]), Counting([{"a": 1}])]
+    outer = Counting([S.Rows(len(m.rows), m) for m in inner])
+    value = [S.Rows(3, outer)]
+    want = [[[[0, 1], [1, 2]], [], [{"a": 1}]]]
+    assert S.dumps_canonical(value) == oracle(want)
+    assert [m.calls for m in [outer] + inner] == [1, 1, 0, 1]
+
+
+def test_generators_refused_as_json_does():
+    # only Rows stands for a list: any other iterable is refused
+    with pytest.raises(TypeError):
+        S.dumps_canonical({"rows": (r for r in [1, 2])})
+
+
 @pytest.mark.parametrize("command,name,radius", [
     ("tree", "D0", 8), ("codist", "D0", 8),
     ("tree", "D3", 7), ("codist", "D3", 7),
 ])
 def test_cli_reports_match_json(monkeypatch, tmp_path, command, name, radius):
     payloads = []
-    writer = S.dumps_canonical
+    writer = S.write_canonical
 
-    def record(obj):
+    def record(obj, write):
         payloads.append(obj)
-        return writer(obj)
+        return writer(obj, write)
 
-    monkeypatch.setattr(S, "dumps_canonical", record)
+    monkeypatch.setattr(S, "write_canonical", record)
     out = tmp_path / "report.json"
     argv = [command, "--datum", name, "--radius", str(radius), "--out", str(out)]
     assert cli.main(argv) == 0
     [payload] = payloads
-    assert out.read_text() == oracle(payload)
+    assert out.read_text() == oracle(materialise(payload))
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="reads the peak RSS of the child from /proc")
+@pytest.mark.parametrize("command", ["tree", "codist"])
+def test_d2_r6_report_streams_within_100_mb(tmp_path, command):
+    # the ball takes about 46 MB; holding the report's object tree or its
+    # 32.5 MB of text as well (about 260 MB in all) fails the bound.
+    # The child prints its VmHWM, not its ru_maxrss: Linux carries the peak
+    # RSS of the process that starts a child over into the child's
+    # ru_maxrss, and here that is the whole test session.
+    code = ("import sys\n"
+            "from nagaotree import cli\n"
+            "rc = cli.main(sys.argv[1:])\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(rc, status.split('VmHWM:')[1].split()[0])\n")
+    out = tmp_path / "report.json"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, command, "--datum", "D2", "--radius", "6",
+         "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ,
+                 PYTHONPATH=str(Path(S.__file__).resolve().parents[1])))
+    assert proc.returncode == 0, proc.stderr
+    rc, peak_kib = map(int, proc.stdout.split())
+    assert rc == 0
+    assert out.stat().st_size > 20_000_000
+    assert peak_kib / 1024 < 100

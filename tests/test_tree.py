@@ -69,6 +69,20 @@ def test_ball_adjacency_is_symmetric_and_acyclic(d3):
             assert abs(t.level(vid) - t.level(uid)) == 1
 
 
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3"])
+def test_edge_rows_in_order_without_sort(name):
+    t = T.ball(D.builtin(name), T.base_vertex(), 5)
+    # adj[a]: the BFS parent first, then the children in increasing id
+    for a in range(t.n):
+        kids = t.adj[a] if a == 0 else t.adj[a][1:]
+        assert a == 0 or t.adj[a][0] == t.parent[a]
+        assert kids == sorted(kids) and all(b > a for b in kids)
+    rows = t.to_json()["edges"]
+    pairs = sorted([a, b] for a in range(t.n) for b in t.adj[a] if a < b)
+    assert len(rows) == len(pairs) == t.n - 1
+    assert list(rows) == pairs
+
+
 def test_act_identity(d0):
     v = (W.generator(2, 3, 1), 2, 2)
     T.validate_address(d0, v)
