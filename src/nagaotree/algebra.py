@@ -115,6 +115,8 @@ class SubgroupHandle:
 def subgroup(parent: FiniteGroup, members: Iterable[int]) -> SubgroupHandle:
     """Validate closure, identity and inverses, then wrap the member set."""
     ms = tuple(sorted(set(int(m) for m in members)))
+    if any(not 0 <= m < parent.order for m in ms):
+        raise NotSubgroup(f"members must lie in 0..{parent.order - 1}")
     if parent.identity not in ms:
         raise NotSubgroup("member set does not contain the identity")
     mset = set(ms)
@@ -224,15 +226,19 @@ def validate_action(action: GroupAction) -> ActionReport:
     """Check that every acting element induces an automorphism of the target
     and that the assignment h -> theta_h is a homomorphism.
 
-    Failures are collected into the report rather than raised.
+    Failures are collected into the report rather than raised.  A missing
+    row, or one of the wrong length or with images outside the target, is
+    a `row-shape` violation and takes no part in the other checks.
     """
     violations: list[dict] = []
     tgt = action.target
     H = action.acting
     n = tgt.order
+    rows = {h: r for h, r in action.rows.items()
+            if len(r) == n and all(0 <= u < n for u in r)}
     for h in H.members:
-        row = action.rows.get(h)
-        if row is None or len(row) != n:
+        row = rows.get(h)
+        if row is None:
             violations.append({"rule": "row-shape", "h": h})
             continue
         if sorted(row) != list(range(n)):
@@ -255,12 +261,12 @@ def validate_action(action: GroupAction) -> ActionReport:
     else:
         violations.append({"rule": "identity-row-missing"})
     for h1 in H.members:
-        r1 = action.rows.get(h1)
+        r1 = rows.get(h1)
         if r1 is None:
             continue
         for h2 in H.members:
-            r2 = action.rows.get(h2)
-            r12 = action.rows.get(H.parent.mul(h1, h2))
+            r2 = rows.get(h2)
+            r12 = rows.get(H.parent.mul(h1, h2))
             if r2 is None or r12 is None:
                 continue
             if any(r12[u] != r1[r2[u]] for u in range(n)):

@@ -95,7 +95,8 @@ def _emit(cfg: RunConfig, payload: dict) -> None:
 
 
 # what a malformed datum or map file raises
-INPUT_ERRORS = (NagaoError, ValueError, KeyError, OSError, json.JSONDecodeError)
+INPUT_ERRORS = (NagaoError, ValueError, LookupError, TypeError,
+                AttributeError, OSError)
 
 
 def _fail(cfg: RunConfig, command: str, exc: Exception, code: int) -> int:

@@ -22,7 +22,6 @@ sample-based evidence, not certificates.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Optional
@@ -122,7 +121,7 @@ def _check_partial_iso(d: NagaoDatum, pairs: dict[Vertex, Vertex],
                 raise NotLevelPreserving(f"{v} (level {v[2]}) -> {img} (level {img[2]})")
     dom = set(pairs)
     # connectivity and adjacency preservation in one sweep
-    root = next(iter(sorted(dom, key=T.address_key)))
+    root = min(dom, key=T.address_key)
     seen = {root}
     stack = [root]
     while stack:
@@ -157,9 +156,23 @@ def greedy_extend(t: TruncatedTree, psi: TreeMap,
 def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
                   partner_class: Callable[[Vertex], int],
                   level_bound: Optional[int] = None) -> TreeMap:
-    """Grow a partial isomorphism over the ball, breadth first in canonical
-    address order: each unmatched neighbor of a matched vertex v takes the
-    first unused neighbor of v's image with the same partner class."""
+    """Grow a partial isomorphism over the ball: each unmatched neighbor of a
+    matched vertex v, in canonical address order, takes the first unused
+    neighbor of v's image with the same partner class.
+
+    The map does not depend on the order in which matched vertices are
+    processed, so they wait on a plain stack.  The matched set and the used
+    image set each stay a subtree, and a vertex outside a subtree has at
+    most one neighbor in it, or the tree would have a cycle.  So every
+    frontier vertex has exactly one matched neighbor v and is matched when
+    v is processed, and every free neighbor of v's image has exactly one
+    used neighbor and can be used only then.  When v comes off the stack,
+    its matched neighbors and the used neighbors of its image are still the
+    ones they were when v was matched, and v's choices are fixed.  The
+    degree of a vertex depends on its level alone, so v and its image have
+    equally many free neighbors per class (for types, see
+    `extend_type_preserving`): the raise below is an invariant check.
+    """
     d = t.datum
     match: dict[Vertex, Vertex] = dict(pairs)
     used = set(match.values())
@@ -167,28 +180,18 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
         if v not in t:
             raise CannotExtendInTruncation(f"domain vertex {v} outside the ball")
 
-    def wanted(v: Vertex) -> bool:
-        if level_bound is not None and v[2] > level_bound:
-            return False
-        return v in t
+    def in_bound(u: Vertex) -> bool:
+        return level_bound is None or u[2] <= level_bound
 
-    heap = [(T.address_key(v), v) for v in match if wanted(v)]
-    heapq.heapify(heap)
-    queued = {v for _, v in heap}
-    while heap:
-        _, v = heapq.heappop(heap)
-        img = match[v]
-        v_nbrs = [u for u in T.neighbors(d, v)
-                  if level_bound is None or u[2] <= level_bound]
-        img_nbrs = [u for u in T.neighbors(d, img)
-                    if level_bound is None or u[2] <= level_bound]
+    stack = [v for v in match if in_bound(v)]
+    while stack:
+        v = stack.pop()
         by_class: dict[int, list[Vertex]] = {}
-        for u in img_nbrs:
-            if u not in used:
+        for u in sorted(T.neighbors(d, match[v]), key=T.address_key):
+            if in_bound(u) and u not in used:
                 by_class.setdefault(partner_class(u), []).append(u)
-        for us in by_class.values():
-            us.sort(key=T.address_key)
-        for u in sorted((u for u in v_nbrs if u not in match), key=T.address_key):
+        for u in sorted((u for u in T.neighbors(d, v)
+                         if in_bound(u) and u not in match), key=T.address_key):
             partners = by_class.get(partner_class(u))
             if not partners:
                 raise CannotExtendInTruncation(
@@ -196,9 +199,8 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
             w = partners.pop(0)
             match[u] = w
             used.add(w)
-            if wanted(u) and u not in queued:
-                heapq.heappush(heap, (T.address_key(u), u))
-                queued.add(u)
+            if u in t:
+                stack.append(u)
     return TreeMap(d, match)
 
 
@@ -306,16 +308,14 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     # condition (b): transporter conjugation against the fixed base component
     graph = H.component_graph(t, i)
     base = T.base_vertex()
-    x0_key = graph.comp_of_vid.get(t.index.get(base, -1))
+    x0_key = graph.key_of(base)
     if x0_key is None:
         cb.skipped += 1
         return cert
     X0 = graph.components[x0_key]
-    hX0 = h.apply(x0_key)
-    hX0_key = graph.comp_of_vid.get(t.index.get(hX0, -1)) if hX0 else None
+    hX0_key = graph.key_of(h.apply(x0_key))
     for y_key in graph.node_keys():
-        hY = h.apply(y_key)
-        hY_key = graph.comp_of_vid.get(t.index.get(hY, -1)) if hY else None
+        hY_key = graph.key_of(h.apply(y_key))
         if hX0_key is None or hY_key is None:
             cb.skipped += 1
             continue
@@ -349,7 +349,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     return cert
 
 
-def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
+def extend_E(t: TruncatedTree, h: TreeMap, i: int,
              lenient: bool = False) -> TreeMap:
     """The unique extension of a component isomorphism to the truncation.
 
@@ -360,16 +360,16 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
     conjugated component transporters.
 
     The walk is a breadth-first search of the component graph from X, each
-    component's neighbors in canonical address order; reverse_bfs reverses
-    every neighbor list, which must give the same map.  A component takes
+    component's neighbors in canonical address order.  A component takes
     its evaluator from its neighbor one layer closer to X, through the
     horosphere they share.  That neighbor is unique: the component graph is
-    a block graph, with one clique per horosphere.
+    a block graph, with one clique per horosphere.  So every walk order
+    gives the same map.
     """
     d = t.datum
     _check_partial_iso(d, h.pairs, require_levels=True)
     graph = H.component_graph(t, i)
-    anchor = next(iter(sorted(h.pairs, key=T.address_key)))
+    anchor = min(h.pairs, key=T.address_key)
     if anchor[2] > i:
         raise NotLevelPreserving(f"domain vertex {anchor} has level > {i}")
     x_key = graph.comp_of_vid[t.vid(anchor)]
@@ -400,8 +400,7 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int, reverse_bfs: bool = False,
                 f"propagation needs {arg}, outside the input domain")
         return T.act_word(d, post, mid)
 
-    depth = T.bfs_depths([x_key], (lambda key: graph.edges[key][::-1])
-                         if reverse_bfs else graph.edges.__getitem__)
+    depth = T.bfs_depths([x_key], graph.edges.__getitem__)
     hb_done = set()
     for key, k in depth.items():
         if key != x_key:

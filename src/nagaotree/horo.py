@@ -140,6 +140,11 @@ class ComponentGraph:
     def node_keys(self) -> list[Vertex]:
         return sorted(self.components, key=T.address_key)
 
+    def key_of(self, v: Vertex) -> Vertex | None:
+        """The key of the component of v; None when v is outside the ball
+        or above level i."""
+        return self.comp_of_vid.get(self.tree.index.get(v, -1))
+
     def witness(self, a: Vertex, b: Vertex) -> tuple[Vertex, Vertex]:
         wit = self.edge_witness.get((a, b))
         if wit is None:

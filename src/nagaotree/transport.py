@@ -67,33 +67,23 @@ def gamma_xy_on_horoball(d: NagaoDatum, hb: Piece, x_vid: int, y: Vertex):
     """Yield (u, gamma_xy(x, y) . u) for u over hb.vertex_ids, in order,
     where x = hb.tree.verts[x_vid] lies on the horosphere of hb.
 
-    With gamma_s = reps[s-1] in Gamma0,
-
-        gamma_xy(x, y) = w_y * (gamma_{s_y} gamma_{s_x}^-1) * w_x^-1,
-
-    and the right-hand factor applied to u, w_x^-1 . u, depends on the ball
-    only (`Piece.relative` memoises it).  The middle factor is the
-    identity when s_y = s_x; otherwise it is the Gamma0 element
-    reps[s_y-1] reps[s_x-1]^-1, the only Gamma action left here (w_x^-1 . u
-    lies in HB(x_{i,s_x}), so that action only moves ray s_x to ray s_y).
-    Each image then costs one action of the word w_y, not a Gamma action of
-    the product.
+    With c = gamma_{s_y} gamma_{s_x}^-1 in Gamma0 (gamma_s = reps[s-1]),
+    gamma_xy(x, y) = w_y * c * w_x^-1, and r = w_x^-1 . u depends on the
+    ball only (`Piece.relative` memoises it).  r lies in HB(x_{i,s_x}), so
+    its ray is s_x and, at level l, its word is empty or one syllable at
+    ray s_x supported above l (Serre, Trees, ch. II 1.6).  c conjugates
+    that syllable to ray s' with c * gamma_{s_x} = gamma_{s'} * h, twisting
+    its payload by h; here s' = s_y and h = 1 exactly.  So c relabels the
+    ray of r to s_y, and each image costs one action of the word w_y.
     """
     t = hb.tree
     x = t.verts[x_vid]
     if x[2] != y[2] or x[2] == 0:
         raise LevelMismatch(f"levels {x[2]} and {y[2]} must agree and be positive")
     wy, sy, _ = y
-    sx = x[1]
-    pairs = zip(hb.vertex_ids, hb.relative(x_vid))
-    if sy == sx:
-        for u_vid, r in pairs:
-            yield t.verts[u_vid], T.act_word(d, wy, r)
-    else:
-        g0 = d.gamma0
-        c = (g0.mul(d.reps[sy - 1], g0.inv(d.reps[sx - 1])), W.EMPTY)
-        for u_vid, r in pairs:
-            yield t.verts[u_vid], T.act_word(d, wy, T.act(d, c, r))
+    for u_vid, (wr, _, l) in zip(hb.vertex_ids, hb.relative(x_vid)):
+        cr = (((sy, wr[0][1]),) if wr else wr, sy, l)  # c . r
+        yield t.verts[u_vid], T.act_word(d, wy, cr)
 
 
 def tau_XY(d: NagaoDatum, g: ComponentGraph, a: Vertex, b: Vertex) -> Word:
@@ -323,10 +313,8 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         # equivariance under Delta, evaluated where the images stay in view
         for a, b in sample(pairs, max(1, samples // 2)):
             for h in sample(small_words, 4):
-                ha = T.act_word(d, h, a)
-                hb_ = T.act_word(d, h, b)
-                ka = g_i.comp_of_vid.get(t.index.get(ha, -1))
-                kb = g_i.comp_of_vid.get(t.index.get(hb_, -1))
+                ka = g_i.key_of(T.act_word(d, h, a))
+                kb = g_i.key_of(T.act_word(d, h, b))
                 if ka is None or kb is None:
                     continue
                 lhs = W.delta_mul(d, W.delta_mul(d, h, tau_XY(d, g_i, a, b)),

@@ -9,11 +9,15 @@ they reduce a product syllable by syllable over the whole right factor,
 filter the whole last payload, and reach every root group through
 `d.root(j).group`.  The horo helpers at the end are the test-only views
 (rays, horospheres, components, the uniform piece) read off the library's
-level cut.
+level cut.  The extension helpers at the end are the parent form of the
+greedy matcher, processed in address order by a heap, the ray-rotating star
+map, and the reversed-walk patch of the component graph.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -22,10 +26,12 @@ import pytest
 
 from nagaotree import algebra as A
 from nagaotree import datum as D
+from nagaotree import extension as E
 from nagaotree import horo as H
 from nagaotree import tree as T
 from nagaotree import words as W
-from nagaotree.errors import LevelTooHigh, LevelZeroBase
+from nagaotree.errors import (CannotExtendInTruncation, LevelTooHigh,
+                              LevelZeroBase)
 
 
 @pytest.fixture(scope="session")
@@ -442,3 +448,83 @@ def uniform_piece(d, i: int, radius: int) -> UniformPiece:
     fd = [v for v in fd if v in t]
     return UniformPiece(i=i, vertex_ids=ids, generators=gens,
                         fundamental_domain=fd, tree=t)
+
+
+# -- extension helpers ---------------------------------------------------------------
+
+def greedy_match_oracle(t, pairs, partner_class, level_bound=None) -> dict:
+    """The greedy matcher with matched vertices processed in canonical
+    address order, from a heap: each unmatched neighbor of a matched vertex
+    v takes the first unused neighbor of v's image with the same partner
+    class.  Returns the matched pairs."""
+    d = t.datum
+    match = dict(pairs)
+    used = set(match.values())
+    for v in match:
+        if v not in t:
+            raise CannotExtendInTruncation(f"domain vertex {v} outside the ball")
+
+    def wanted(v):
+        if level_bound is not None and v[2] > level_bound:
+            return False
+        return v in t
+
+    heap = [(T.address_key(v), v) for v in match if wanted(v)]
+    heapq.heapify(heap)
+    queued = {v for _, v in heap}
+    while heap:
+        _, v = heapq.heappop(heap)
+        img = match[v]
+        v_nbrs = [u for u in T.neighbors(d, v)
+                  if level_bound is None or u[2] <= level_bound]
+        img_nbrs = [u for u in T.neighbors(d, img)
+                    if level_bound is None or u[2] <= level_bound]
+        by_class = {}
+        for u in img_nbrs:
+            if u not in used:
+                by_class.setdefault(partner_class(u), []).append(u)
+        for us in by_class.values():
+            us.sort(key=T.address_key)
+        for u in sorted((u for u in v_nbrs if u not in match),
+                        key=T.address_key):
+            partners = by_class.get(partner_class(u))
+            if not partners:
+                raise CannotExtendInTruncation(
+                    f"no partner for {u} at frontier of {v}")
+            w = partners.pop(0)
+            match[u] = w
+            used.add(w)
+            if wanted(u) and u not in queued:
+                heapq.heappush(heap, (T.address_key(u), u))
+                queued.add(u)
+    return match
+
+
+def rotating_star(d):
+    """The map fixing the base vertex and sending x_{1,s} to x_{1,s+1}
+    (mod k): every horoball it moves changes ray."""
+    x0 = T.base_vertex()
+    star = T.neighbors(d, x0)
+    pairs = {x0: x0}
+    for n, v in enumerate(star):
+        pairs[v] = star[(n + 1) % len(star)]
+    return E.TreeMap(d, pairs)
+
+
+def reverse_component_graphs(monkeypatch, t, i) -> None:
+    """Patch `horo.component_graph` to list every node's neighbors in
+    reverse order, after checking that this changes the order in which a
+    breadth-first walk from the base component of t at level i visits the
+    components (so a walk-order check is not vacuous)."""
+    original = H.component_graph
+
+    def reversed_graph(t, i):
+        g = original(t, i)
+        return dataclasses.replace(
+            g, edges={k: v[::-1] for k, v in g.edges.items()})
+
+    source = [original(t, i).key_of(T.base_vertex())]
+    walks = [list(T.bfs_depths(source, g.edges.__getitem__))
+             for g in (original(t, i), reversed_graph(t, i))]
+    assert walks[0] != walks[1]
+    monkeypatch.setattr(H, "component_graph", reversed_graph)

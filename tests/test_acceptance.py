@@ -8,7 +8,9 @@ with `pytest tests/test_acceptance.py -v -s` to see them.
 import random
 import time
 
-from conftest import all_level_matchings
+import pytest
+
+from conftest import all_level_matchings, reverse_component_graphs
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
@@ -143,9 +145,10 @@ def test_criterion_6_extension_uniqueness(d0, ball_d0_6):
             g = (d0.ident0, w)
             h = E.TreeMap(d0, {v: T.act(d0, g, v) for v in comp.vertices()},
                           backing=g)
-            a = E.extend_E(t, h, 1, reverse_bfs=False)
-            b = E.extend_E(t, h, 1, reverse_bfs=True)
-            assert a.pairs == b.pairs
+            a = E.extend_E(t, h, 1)
+            with pytest.MonkeyPatch.context() as mp:
+                reverse_component_graphs(mp, t, 1)
+                assert E.extend_E(t, h, 1).pairs == a.pairs
             for v in t.verts:
                 assert a.pairs[v] == T.act(d0, g, v)
 

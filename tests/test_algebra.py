@@ -96,6 +96,24 @@ def test_not_subgroup_detected():
         A.subgroup(g, [1, 2, 3])  # no identity
 
 
+def test_subgroup_rejects_out_of_range_members():
+    with pytest.raises(NotSubgroup):
+        A.subgroup(A.cyclic_group(3), [0, 7])
+    with pytest.raises(NotSubgroup):
+        A.subgroup(A.cyclic_group(3), [-1, 0])
+
+
+@pytest.mark.parametrize("row", [(0,), (0, 5), (0, -1), (0, 1, 1)])
+def test_validate_action_collects_malformed_rows(row):
+    # a row of the wrong length or with images outside the target is
+    # recorded as row-shape and kept out of the other checks, never raised
+    c2 = A.cyclic_group(2)
+    h = A.subgroup(c2, [0, 1])
+    rows = {0: (0, 1), 1: row}
+    rep = A.validate_action(A.GroupAction(acting=h, target=c2, rows=rows))
+    assert rep.violations == [{"rule": "row-shape", "h": 1}]
+
+
 def test_validate_action_trivial():
     g = A.cyclic_group(5)
     h = A.trivial_subgroup(g)

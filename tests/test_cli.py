@@ -57,6 +57,50 @@ def test_malformed_datum_file_exit_2(command, tmp_path, capsys):
     assert payload["detail"]
 
 
+_C2 = {"order": 2, "table": [[0, 1], [1, 0]]}
+_C3 = {"order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]]}
+_OK_DATUM = {"gamma0": _C3, "h0": [0], "roots": {"period": [{"group": _C2}]}}
+
+
+def _json_file(path, obj) -> str:
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def _c2_action(row):
+    return dict(_OK_DATUM, roots={"period": [{"group": _C2,
+                                              "action": {"0": row}}]})
+
+
+@pytest.mark.parametrize("datum,phi", [
+    ([], None),
+    ({"gamma0": 5}, None),
+    (dict(_OK_DATUM, h0=0), None),
+    (dict(_OK_DATUM, h0=[0, 7]), None),
+    (_c2_action([0]), None),
+    (_c2_action([0, 5]), None),
+    (dict(_OK_DATUM, roots=[]), None),
+    (dict(_OK_DATUM, roots={"period": [{"group": _C2, "action": 5}]}), None),
+    (None, []),
+    (None, {"pairs": [1]}),
+    (None, {"pairs": [[1, 2]]}),
+], ids=["datum-list", "gamma0-int", "h0-int", "h0-out-of-range",
+        "action-row-short", "action-image-out-of-range", "roots-list",
+        "action-int", "phi-list",
+        "phi-pair-int", "phi-vertex-int"])
+def test_malformed_input_file_exit_2(datum, phi, tmp_path, capsys):
+    # a file of the wrong shape is invalid input, never a traceback
+    argv = ["validate"]
+    if datum is None:
+        argv = ["extend", "--phi", _json_file(tmp_path / "phi.json", phi)]
+    argv += ["--datum", "D0" if datum is None
+             else _json_file(tmp_path / "datum.json", datum)]
+    code, out = run(capsys, *argv)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["command"] == argv[0] and payload["ok"] is False
+
+
 def test_validate_custom_datum_file(tmp_path, capsys):
     obj = D.datum_to_json(D.builtin("D3"))
     p = tmp_path / "d3.json"

@@ -1,11 +1,15 @@
 import random
+from operator import itemgetter
 
 import pytest
 
+from conftest import (greedy_match_oracle, reverse_component_graphs,
+                      rotating_star, twisted_datum)
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
 from nagaotree import tree as T
+from nagaotree import twincodist as TC
 from nagaotree import words as W
 from nagaotree.errors import (CannotExtendInTruncation, NotIsomorphism,
                               NotLevelPreserving, TruncationExceeded,
@@ -68,6 +72,42 @@ def test_greedy_deterministic(d0, ball_d0_6):
     a = E.greedy_extend(ball_d0_6, psi)
     b = E.greedy_extend(ball_d0_6, psi)
     assert a.pairs == b.pairs
+
+
+def _seeded_swaps(d, t, rng, n=4):
+    """Maps exchanging two down-neighbors of x_{j,s} (j = 1 or 2) and
+    fixing x_{j,s}, translated by a seeded word, on in-ball vertices."""
+    words = W.enumerate_words(d, 1, [1, 2])
+    out = []
+    while len(out) < n:
+        j, s = rng.choice((1, 2)), rng.randrange(1, d.k + 1)
+        grp = d.root(j).group
+        u = rng.choice([x for x in grp.elements() if x != grp.identity])
+        down = T.ray_vertex(j - 1, s)
+        path = (down, T.act_word(d, W.generator(s, j, u), down),
+                T.ray_vertex(j, s))
+        w = rng.choice(words)
+        a, b, c = (T.act_word(d, w, v) for v in path)
+        if a in t and b in t and c in t:
+            out.append({a: b, b: a, c: c})
+    return out
+
+
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3", "twisted"])
+def test_greedy_matchers_equal_the_heap_oracle(name):
+    # the stack matcher gives the map of the address-ordered heap, for
+    # greedy_extend at every level bound and for extend_type_preserving
+    d = twisted_datum() if name == "twisted" else D.builtin(name)
+    t = T.ball(d, T.base_vertex(), 3 if name == "D2" else 5)
+    rng = random.Random(17)
+    for pairs in _seeded_swaps(d, t, rng) + [rotating_star(d).pairs]:
+        phi = E.TreeMap(d, pairs)
+        for bound in (1, 2, 3, None):
+            assert (E.greedy_extend(t, phi, level_bound=bound).pairs
+                    == greedy_match_oracle(t, pairs, itemgetter(2), bound))
+        cls = TC.vertex_type if d.profile.biregular else itemgetter(2)
+        assert (E.extend_type_preserving(t, phi).pairs
+                == greedy_match_oracle(t, pairs, cls))
 
 
 def test_check_li_identity(d0, ball_d0_6):
@@ -140,14 +180,14 @@ def test_extend_E_restricts_to_input(d0, ball_d0_6):
     assert cert.valid
 
 
-def test_extend_E_bfs_order_independent(d0, ball_d0_6):
+def test_extend_E_bfs_order_independent(d0, ball_d0_6, monkeypatch):
     x0, x1 = T.base_vertex(), T.ray_vertex(1)
     u_x0 = T.act_word(d0, W.generator(1, 1, 1), x0)
     g = E.greedy_extend(ball_d0_6, E.TreeMap(d0, {x0: u_x0, u_x0: x0, x1: x1}),
                         level_bound=1)
-    a = E.extend_E(ball_d0_6, g, 1, reverse_bfs=False)
-    b = E.extend_E(ball_d0_6, g, 1, reverse_bfs=True)
-    assert a.pairs == b.pairs
+    a = E.extend_E(ball_d0_6, g, 1)
+    reverse_component_graphs(monkeypatch, ball_d0_6, 1)
+    assert E.extend_E(ball_d0_6, g, 1).pairs == a.pairs
 
 
 def test_extend_E_truncation_error_on_partial_input(d0, ball_d0_6):
@@ -399,7 +439,7 @@ def test_extend_E_reproduces_mixed_group_elements(d1, ball_d0_6):
 
 @pytest.mark.parametrize("name, radius, i", [
     ("D0", 6, 2), ("D3", 6, 2), ("D3", 7, 1), ("D0", 10, 2)])
-def test_extend_E_reverse_bfs_levels(name, radius, i):
+def test_extend_E_reverse_bfs_levels(name, radius, i, monkeypatch):
     # both walk orders of the component graph give one map: the extension
     # of a greedy swap, and that of a group element's restriction.  At r6
     # every component touches the base one; at D3 r7 (i = 1) and D0 r10
@@ -411,12 +451,13 @@ def test_extend_E_reverse_bfs_levels(name, radius, i):
     swap = E.greedy_extend(t, E.TreeMap(d, {x0: u_x0, u_x0: x0, x1: x1}),
                            level_bound=i)
     a = E.extend_E(t, swap, i)
-    assert E.extend_E(t, swap, i, reverse_bfs=True).pairs == a.pairs
     assert len(a.pairs) == t.n and E.check_Li(t, a, i).valid
     g = (d.ident0, W.delta_mul(d, W.generator(2, 2, 1), W.generator(1, 1, 1)))
     h = base_component_map(d, t, i, g)
-    for reverse_bfs in (False, True):
-        out = E.extend_E(t, h, i, reverse_bfs=reverse_bfs)
+    b = E.extend_E(t, h, i)
+    reverse_component_graphs(monkeypatch, t, i)
+    assert E.extend_E(t, swap, i).pairs == a.pairs
+    for out in (b, E.extend_E(t, h, i)):
         assert all(out.pairs[v] == T.act(d, g, v) for v in t.verts)
 
 

@@ -1,5 +1,6 @@
 """Byte-level pins of every CLI report, of the DOT export and of three
-failure-path reports.
+failure-path reports, and of three density pipelines whose extensions
+move horoballs across rays.
 
 A change to the report classes that keeps these sha256 values keeps every
 report byte-identical.  The failure paths overflow the failure caps: 21
@@ -13,7 +14,7 @@ import json
 
 import pytest
 
-from conftest import twisted_datum
+from conftest import rotating_star, twisted_datum
 from nagaotree import cli
 from nagaotree import extension as E
 from nagaotree import serialize as S
@@ -80,6 +81,17 @@ FAILURE_SHA256 = {
         "c2611a4ed6b41fe4fcd3e99f702bb42045fbf865f65d91c2e9b527dd5d5b5df7",
     "check_Li":
         "625e82644d4c7b7e3713d45473b2a6e87d09136394701cccb4cd85cf7930c340",
+}
+
+# the density pipeline report and the extension of `conftest.rotating_star`
+# (4 samples, seed 0, instances recorded), by datum and radius
+CROSS_RAY_SHA256 = {
+    ("twisted", 4):
+        "dc4cf1856d90a8402bc567659e8fcfe4c7e1fd84b7498f8982be6b06d4947ccb",
+    ("D1", 4):
+        "ebb81a1fb6940da003143db103684b9c573015e1c441032dfb8774629424741c",
+    ("D2", 3):
+        "1c1bffaa2b63247b28ad26268d390a1ab828c282085d24adfa7f72167387cf6a",
 }
 
 
@@ -162,3 +174,16 @@ def test_check_li_failure_report_bytes(ball_d0_6):
     text = check_li_failure_report(ball_d0_6)
     assert [c["valid"] for c in json.loads(text)] == [False, False]
     assert sha256(text) == FAILURE_SHA256["check_Li"]
+
+
+@pytest.mark.parametrize("name,radius", list(CROSS_RAY_SHA256))
+def test_cross_ray_extension_bytes(name, radius, request):
+    d = (twisted_datum() if name == "twisted"
+         else request.getfixturevalue(name.lower()))
+    ext, report = E.density_pipeline(d, rotating_star(d), radius,
+                                     n_samples=4, seed=0,
+                                     record_instances=True)
+    assert report.passed
+    text = S.dumps_canonical({"report": report.to_json(),
+                              "extension": ext.to_json()})
+    assert sha256(text) == CROSS_RAY_SHA256[name, radius]

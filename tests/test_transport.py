@@ -98,10 +98,14 @@ def _gamma_xy_images_oracle(d, hb, x_vid, y):
 _ORACLE_CASES = [("D0", 5), ("D1", 4), ("D2", 3), ("D3", 5), ("twisted", 4)]
 
 
+def _datum(name):
+    return twisted_datum() if name == "twisted" else D.builtin(name)
+
+
 def _oracle_maps(name, radius):
     """The ball, and maps of three seeded Gamma elements on it: two with a
     non-identity Gamma0 part, so that images change ray, and one in Delta."""
-    d = twisted_datum() if name == "twisted" else D.builtin(name)
+    d = _datum(name)
     t = T.ball(d, T.base_vertex(), radius)
     rng = random.Random(5)
     words = W.enumerate_words(d, 2, [1, 2, 3])
@@ -109,6 +113,38 @@ def _oracle_maps(name, radius):
     elems = [(rng.choice(g0s), rng.choice(words)) for _ in range(2)]
     elems.append((d.ident0, rng.choice(words)))
     return d, t, [E.TreeMap.from_element(t, g) for g in elems]
+
+
+@pytest.mark.parametrize("name,radius", [
+    ("D0", 6), ("D1", 6), ("D2", 3), ("D3", 6), ("twisted", 5)])
+def test_relative_coordinates_are_one_syllable_at_the_ray(name, radius):
+    # w_x^-1 . u for u on the horoball of x at level l: ray s_x, and the
+    # empty word or one syllable at ray s_x supported above l
+    d = _datum(name)
+    t = T.ball(d, T.base_vertex(), radius)
+    syllables = 0
+    for i in (1, 2, 3):
+        for hb in H.horoballs(t, i):
+            for x_vid in hb.horosphere_ids():
+                sx = t.verts[x_vid][1]
+                for w, s, l in hb.relative(x_vid):
+                    assert s == sx and l >= i
+                    if w:
+                        assert len(w) == 1 and w[0][0] == sx
+                        assert all(j > l for j, _ in w[0][1])
+                        syllables += 1
+    assert syllables > 0
+
+
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3", "twisted"])
+def test_ray_change_factor_is_untwisted(name):
+    # c = gamma_{s_y} gamma_{s_x}^-1 has c gamma_{s_x} = gamma_{s_y} exactly
+    d = _datum(name)
+    g0 = d.gamma0
+    for sx in range(1, d.k + 1):
+        for sy in range(1, d.k + 1):
+            c = g0.mul(d.reps[sy - 1], g0.inv(d.reps[sx - 1]))
+            assert d.nav[c][sx - 1] == (sy, d.ident0)
 
 
 @pytest.mark.parametrize("name,radius", _ORACLE_CASES)
@@ -126,7 +162,8 @@ def test_gamma_xy_on_horoball_matches_gamma_xy(name, radius):
                         cross_ray += 1
                     got = list(TR.gamma_xy_on_horoball(d, hb, x_vid, y))
                     assert got == list(_gamma_xy_images_oracle(d, hb, x_vid, y))
-    # both branches ran: the Gamma0 factor, with its h0-twist, and without
+    # horoballs were moved both within a ray and across rays, where the
+    # Gamma0 factor relabels the ray of the relative coordinate
     assert same_ray > 0 and cross_ray > 0
 
 
