@@ -13,6 +13,7 @@ Three families, all exact group elements:
 from __future__ import annotations
 
 import functools
+import random
 from dataclasses import dataclass, field
 
 from . import horo as H
@@ -193,13 +194,18 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
     With samples == 0 the sweep is exhaustive over the in-ball instances at
     the given levels; otherwise `samples` instances per family are drawn
     with the seeded generator.  Failures carry witnesses.
-    """
-    import random
 
+    The rules ask for the same transporter many times over, so delta_xy,
+    gamma_xy and tau_XY (one memo per level, as the component graph is
+    per level) are each evaluated once per argument pair; the memos live
+    for this one sweep.  The right-hand sides of the two equivariance
+    rules under Delta words and Gamma0 take image pairs, almost all of
+    them new, so they call delta_xy directly: a memo there would hold
+    pairs that are never asked for again.
+    """
     rng = random.Random(seed)
-    # the sweep asks for the same gamma_{x,y} many times over; the memo
-    # lives for this one sweep
-    gxy = functools.cache(lambda x, y: gamma_xy(d, x, y))
+    dxy = functools.cache(functools.partial(delta_xy, d))
+    gxy = functools.cache(functools.partial(gamma_xy, d))
     t = T.ball(d, T.base_vertex(), radius)
     rep = TransportReport(truncation=radius)
 
@@ -211,6 +217,9 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         return [pool[rng.randrange(len(pool))] for _ in range(n)]
 
     small_words = W.enumerate_words(d, 2, [1, 2])
+    # D2 has 51,696 small words; a sampled sweep inverts the few it draws
+    h_inv = functools.cache(functools.partial(W.delta_inv, d))
+    g0_inv = [W.gamma_inv(d, (g0, W.EMPTY)) for g0 in range(d.gamma0.order)]
 
     for i in levels:
         # the in-ball horosphere of every level-i vertex, in address order;
@@ -225,19 +234,19 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
 
         # delta rules
         for x, y in sample(hs_pairs, samples):
-            dl = delta_xy(d, x, y)
+            dl = dxy(x, y)
             rep.add("delta-moves", T.act_word(d, dl, x) == y, i, x, y)
-            rep.add("delta-inverse", delta_xy(d, y, x) == W.delta_inv(d, dl),
+            rep.add("delta-inverse", dxy(y, x) == W.delta_inv(d, dl),
                     i, x, y)
         for x, y in sample(hs_pairs, max(1, samples // 4)):
             for z in sample(sphere[x], max(1, samples // 4)):
-                lhs = W.delta_mul(d, delta_xy(d, y, z), delta_xy(d, x, y))
-                rep.add("delta-cocycle", lhs == delta_xy(d, x, z), i, x, y, z)
+                lhs = W.delta_mul(d, dxy(y, z), dxy(x, y))
+                rep.add("delta-cocycle", lhs == dxy(x, z), i, x, y, z)
         for x, y in sample(hs_pairs, max(1, samples // 4)):
+            dl = dxy(x, y)
             for h in sample(small_words, 8 if samples else 4):
                 hx, hy = T.act_word(d, h, x), T.act_word(d, h, y)
-                lhs = W.delta_mul(d, W.delta_mul(d, h, delta_xy(d, x, y)),
-                                  W.delta_inv(d, h))
+                lhs = W.delta_mul(d, W.delta_mul(d, h, dl), h_inv(h))
                 rep.add("delta-equivariance", lhs == delta_xy(d, hx, hy),
                         i, h, x, y)
         # equivariance under the finite vertex group: by uniqueness of the
@@ -245,11 +254,11 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         # transporter of the image pair; this is the rule that requires the
         # root-group actions to be genuine automorphisms
         for x, y in sample(hs_pairs, max(1, samples // 4)):
-            dl = (d.ident0, delta_xy(d, x, y))
+            dl = (d.ident0, dxy(x, y))
             for g0 in range(d.gamma0.order):
                 g = (g0, W.EMPTY)
                 gx, gy = T.act(d, g, x), T.act(d, g, y)
-                lhs = W.gamma_mul(d, W.gamma_mul(d, g, dl), W.gamma_inv(d, g))
+                lhs = W.gamma_mul(d, W.gamma_mul(d, g, dl), g0_inv[g0])
                 try:
                     rhs = (d.ident0, delta_xy(d, gx, gy))
                     ok = lhs == rhs
@@ -275,7 +284,7 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         # for free-product elements); ties the conjugation-free delta
         # calculus to the Gamma0-sensitive gamma calculus
         for x, y in sample(hs_pairs, samples):
-            dl = (d.ident0, delta_xy(d, x, y))
+            dl = (d.ident0, dxy(x, y))
             gm = gxy(x, y)
             hb = H.horoball(t, x)
             ok = all(T.act(d, dl, t.verts[v]) == T.act(d, gm, t.verts[v])
@@ -286,30 +295,31 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
         for x, y in sample(lv_pairs, max(1, samples // 2)):
             g = gxy(x, y)
             hb = H.horoball(t, x)
+            img = [T.act(d, g, t.verts[v]) for v in hb.vertex_ids]
             for xp in sample([t.verts[v] for v in hb.horosphere_ids()], 4):
                 yp = T.act(d, g, xp)
                 gp = gxy(xp, yp)
-                ok = all(T.act(d, g, t.verts[v]) == T.act(d, gp, t.verts[v])
-                         for v in hb.vertex_ids)
+                ok = all(T.act(d, gp, t.verts[v]) == u
+                         for v, u in zip(hb.vertex_ids, img))
                 rep.add("gamma-restriction", ok, i, x, y, xp)
 
         # tau rules
         g_i = H.component_graph(t, i)
+        txy = functools.cache(functools.partial(tau_XY, d, g_i))
         keys = g_i.node_keys()
-        rep.add("tau-identity", tau_XY(d, g_i, keys[0], keys[0]) == W.EMPTY, i)
+        rep.add("tau-identity", txy(keys[0], keys[0]) == W.EMPTY, i)
         pairs = [(a, b) for a in keys for b in keys if a != b]
         for a, b in sample(pairs, samples):
-            tau = tau_XY(d, g_i, a, b)
+            tau = txy(a, b)
             img = {T.act_word(d, tau, v) for v in g_i.components[a].vertices()}
             tgt = set(g_i.components[b].vertices())
             in_ball_img = {v for v in img if v in t}
             rep.add("tau-maps-onto", in_ball_img <= tgt, i, a, b)
-            rep.add("tau-inverse", tau_XY(d, g_i, b, a) == W.delta_inv(d, tau),
-                    i, a, b)
+            rep.add("tau-inverse", txy(b, a) == W.delta_inv(d, tau), i, a, b)
         triples = [(a, b, c) for a in keys for b in keys for c in keys]
         for a, b, c in sample(triples, samples):
-            lhs = W.delta_mul(d, tau_XY(d, g_i, b, c), tau_XY(d, g_i, a, b))
-            rep.add("tau-cocycle", lhs == tau_XY(d, g_i, a, c), i, a, b, c)
+            lhs = W.delta_mul(d, txy(b, c), txy(a, b))
+            rep.add("tau-cocycle", lhs == txy(a, c), i, a, b, c)
         # equivariance under Delta, evaluated where the images stay in view
         for a, b in sample(pairs, max(1, samples // 2)):
             for h in sample(small_words, 4):
@@ -317,9 +327,8 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
                 kb = g_i.key_of(T.act_word(d, h, b))
                 if ka is None or kb is None:
                     continue
-                lhs = W.delta_mul(d, W.delta_mul(d, h, tau_XY(d, g_i, a, b)),
-                                  W.delta_inv(d, h))
-                rep.add("tau-equivariance", lhs == tau_XY(d, g_i, ka, kb),
+                lhs = W.delta_mul(d, W.delta_mul(d, h, txy(a, b)), h_inv(h))
+                rep.add("tau-equivariance", lhs == txy(ka, kb),
                         i, h, a, b)
         # path independence: products over arbitrary paths match the geodesic
         for a, b in sample(pairs, max(1, samples // 2)):
@@ -327,7 +336,7 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
             for path in _random_paths(g_i, a, b, rng, limit=3,
                                       maxlen=len(geo) + 3):
                 rep.add("tau-path-independence",
-                        tau_along(d, g_i, path) == tau_XY(d, g_i, a, b),
+                        tau_along(d, g_i, path) == txy(a, b),
                         i, a, b, path)
     return rep
 

@@ -1,3 +1,5 @@
+import functools
+import hashlib
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
+from nagaotree import serialize as S
 from nagaotree import transport as TR
 from nagaotree import tree as T
 from nagaotree import words as W
@@ -241,19 +244,27 @@ def test_tau_path_independence(d0):
         assert TR.tau_along(d0, g, path) == TR.tau_XY(d0, g, a, b)
 
 
-def _check_exhaustive(name, radius, total):
+def _digest(rep):
+    # the whole report, per-rule slots and failures included
+    return hashlib.sha256(S.dumps_canonical(rep.to_json()).encode()).hexdigest()
+
+
+def _check_exhaustive(name, radius, total, digest):
     rep = TR.verify_transport(D.builtin(name), radius, levels=(1, 2), samples=0)
     assert rep.passed
     assert rep.total > 1000
     assert rep.total == total
+    assert _digest(rep) == digest
 
 
 def test_verify_transport_exhaustive_d0():
-    _check_exhaustive("D0", 5, 137_014)
+    _check_exhaustive("D0", 5, 137_014, "5304b35f6e95f151aae3517b1e2e8977"
+                      "292f7243dcafeeda1b7291fa081f6599")
 
 
 def test_verify_transport_exhaustive_d3():
-    _check_exhaustive("D3", 4, 16_417)
+    _check_exhaustive("D3", 4, 16_417, "60f03a83b1d11c9a9edb56a29b494183"
+                      "84be05b8aff16c5b902303f5d7dfeab5")
 
 
 def test_verify_transport_sampled_d2(d2):
@@ -261,12 +272,16 @@ def test_verify_transport_sampled_d2(d2):
     assert rep.passed
     assert rep.total >= 200
     assert rep.total == 1190
+    assert _digest(rep) == ("0b873ee929f39b48cb5a1f60ab738a1f"
+                            "0399511dc3473a7a112a5a6dea5c09b9")
 
 
 def test_fault_injection_is_detected():
     good = twisted_datum()
     rep = TR.verify_transport(good, 4, levels=(1, 2), samples=60, seed=13)
     assert rep.passed
+    assert _digest(rep) == ("f26b81ba95ba02e25676f16f29588de2"
+                            "0bf4028a00a80a0c092234e10c4f305d")
     bad = twisted_datum(corrupt=True)
     # the corruption is a non-action, caught by the algebra validator
     assert not A.validate_action(bad.root(2).action).valid
@@ -274,6 +289,8 @@ def test_fault_injection_is_detected():
     tr = TR.verify_transport(bad, 4, levels=(1, 2), samples=60, seed=13)
     assert not tr.passed
     assert (tr.total, len(tr.failures)) == (1508, 21)
+    assert _digest(tr) == ("e22109468b7851a71b7e50058e675a8f"
+                           "ffafaf6d2ee4a928920b62cc91c22f6f")
     assert sum(slot["failed"] for slot in tr.rules.values()) == 21
     first = tr.failures[0]
     assert first["rule"] in tr.rules and first["instance"]
@@ -316,3 +333,117 @@ def test_transporter_records(d0):
     for v in g.components[a].vertices():
         img = T.act(d0, (d0.ident0, tau), v)
         assert img not in t or img in dst
+
+
+# -- failure paths of the memoised rules ---------------------------------------
+# Each test damages one transporter for one ordered pair, runs the exhaustive
+# level-1 sweep on the twisted datum at r4 (horospheres of three vertices,
+# seven components), and compares the failed instances with those that fail
+# when the rules are evaluated directly on the damaged function.
+
+def _damage(monkeypatch, name, pair, spoil):
+    real = getattr(TR, name)
+
+    def damaged(*args):
+        out = real(*args)
+        return spoil(out) if args[-2:] == pair else out
+
+    monkeypatch.setattr(TR, name, damaged)
+    return damaged
+
+
+def _failed(rep, rule, n=None):
+    return {tuple(f["witness"].values())[:n] for f in rep.failures
+            if f["rule"] == rule}
+
+
+def _inverse_and_cocycle_oracle(classes, f, mul, inv, distinct=False):
+    """The failing inverse and cocycle instances of f over the pairs and
+    triples inside each class, as witness strings."""
+    inverse = {(str(x), str(y)) for c in classes for x in c for y in c
+               if (x != y or not distinct) and f(y, x) != inv(f(x, y))}
+    cocycle = {(str(x), str(y), str(z))
+               for c in classes for x in c for y in c for z in c
+               if mul(f(y, z), f(x, y)) != f(x, z)}
+    return inverse, cocycle
+
+
+def _assert_inverse_and_cocycle(rep, family, pair, inverse, cocycle):
+    named = tuple(map(str, pair))
+    assert inverse == {named, named[::-1]}
+    assert _failed(rep, f"{family}-inverse") == inverse
+    assert _failed(rep, f"{family}-cocycle") == cocycle
+    # every failed cocycle instance names both vertices of the damaged pair
+    assert cocycle and all(set(named) <= set(w) for w in cocycle)
+
+
+def _twisted_level1():
+    d = twisted_datum()
+    t = T.ball(d, T.base_vertex(), 4)
+    lv = sorted((v for v in t.verts if v[2] == 1), key=T.address_key)
+    return d, t, lv
+
+
+def test_damaged_delta_fails_its_inverse_and_cocycle_rules(monkeypatch):
+    d, t, lv = _twisted_level1()
+    spheres = {tuple(y for y in lv if H.in_same_horosphere(d, x, y))
+               for x in lv}
+    sphere = max(spheres, key=len)
+    assert len(sphere) == 3  # a third vertex tells (x, y) from (y, x)
+    pair = (sphere[0], sphere[1])
+    spoil = W.enumerate_words(d, 1, [1])[1]
+    f = _damage(monkeypatch, "delta_xy", pair,
+                lambda w: W.delta_mul(d, w, spoil))
+    rep = TR.verify_transport(d, 4, levels=(1,), samples=0)
+    inverse, cocycle = _inverse_and_cocycle_oracle(
+        spheres, lambda x, y: f(d, x, y), lambda a, b: W.delta_mul(d, a, b),
+        lambda a: W.delta_inv(d, a))
+    _assert_inverse_and_cocycle(rep, "delta", pair, inverse, cocycle)
+
+
+def test_damaged_gamma_fails_its_inverse_cocycle_and_restriction_rules(
+        monkeypatch):
+    d, t, lv = _twisted_level1()
+    pair = (lv[0], lv[-1])
+    # h in H0 fixes x = x_{1,1} and inverts the U_2 payloads on its
+    # horoball (the twisted action), so gamma_{x,y} * h still moves x to y
+    # but differs from gamma_{x',y'} on HB(x)
+    assert pair[0] == T.ray_vertex(1)
+    spoil = (next(h for h in d.h0.members if h != d.ident0), W.EMPTY)
+    f = _damage(monkeypatch, "gamma_xy", pair,
+                lambda g: W.gamma_mul(d, g, spoil))
+    rep = TR.verify_transport(d, 4, levels=(1,), samples=0)
+    gxy = functools.partial(f, d)
+    inverse, cocycle = _inverse_and_cocycle_oracle(
+        [lv], gxy, lambda a, b: W.gamma_mul(d, a, b),
+        lambda a: W.gamma_inv(d, a))
+    _assert_inverse_and_cocycle(rep, "gamma", pair, inverse, cocycle)
+    restriction = set()
+    for x in lv:
+        hb = H.horoball(t, x)
+        for y in lv:
+            g = gxy(x, y)
+            for xp in (t.verts[v] for v in hb.horosphere_ids()):
+                gp = gxy(xp, T.act(d, g, xp))
+                if any(T.act(d, g, t.verts[v]) != T.act(d, gp, t.verts[v])
+                       for v in hb.vertex_ids):
+                    restriction.add((str(x), str(y), str(xp)))
+    assert _failed(rep, "gamma-restriction") == restriction
+    assert any(w[:2] == tuple(map(str, pair)) for w in restriction)
+
+
+def test_damaged_tau_fails_its_inverse_cocycle_and_path_rules(monkeypatch):
+    d, t, _ = _twisted_level1()
+    g = H.component_graph(t, 1)
+    keys = g.node_keys()
+    assert len(keys) >= 3
+    pair = (keys[0], g.edges[keys[0]][0])  # adjacent: the random walks reach it
+    spoil = W.enumerate_words(d, 1, [1])[1]
+    f = _damage(monkeypatch, "tau_XY", pair,
+                lambda w: W.delta_mul(d, w, spoil))
+    rep = TR.verify_transport(d, 4, levels=(1,), samples=0)
+    inverse, cocycle = _inverse_and_cocycle_oracle(
+        [keys], lambda a, b: f(d, g, a, b), lambda a, b: W.delta_mul(d, a, b),
+        lambda a: W.delta_inv(d, a), distinct=True)
+    _assert_inverse_and_cocycle(rep, "tau", pair, inverse, cocycle)
+    assert _failed(rep, "tau-path-independence", 2) == {tuple(map(str, pair))}
