@@ -218,8 +218,11 @@ def trivial_action(acting: SubgroupHandle, target: FiniteGroup) -> GroupAction:
 
 @dataclass
 class ActionReport:
-    valid: bool
     violations: list[dict]
+
+    @property
+    def valid(self) -> bool:
+        return not self.violations
 
 
 def validate_action(action: GroupAction) -> ActionReport:
@@ -272,7 +275,7 @@ def validate_action(action: GroupAction) -> ActionReport:
             if any(r12[u] != r1[r2[u]] for u in range(n)):
                 violations.append({"rule": "composition", "h1": h1, "h2": h2})
                 break
-    return ActionReport(valid=not violations, violations=violations)
+    return ActionReport(violations)
 
 
 # -- stock groups -------------------------------------------------------------

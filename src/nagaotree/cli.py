@@ -21,7 +21,7 @@ from . import serialize as S
 from . import suites as SU
 from . import tree as T
 from . import twincodist as TC
-from .errors import NagaoError, TruncationExceeded
+from .errors import NagaoError, NotIsomorphism, TruncationExceeded
 
 EXIT_PASS = 0
 EXIT_PROBE_FAILURE = 1
@@ -65,7 +65,8 @@ def load_datum(source: str) -> D.NagaoDatum:
 
 
 def load_map(d: D.NagaoDatum, path: str) -> E.TreeMap:
-    """The map of a JSON file {"pairs": [[vertex, vertex], ...]}."""
+    """The map of a JSON file {"pairs": [[vertex, vertex], ...]}, in which
+    each source vertex appears once."""
     with open(path) as fh:
         obj = json.load(fh)
     pairs = {}
@@ -73,6 +74,8 @@ def load_map(d: D.NagaoDatum, path: str) -> E.TreeMap:
         va, vb = S.vertex_from_json(d, a), S.vertex_from_json(d, b)
         T.validate_address(d, va)
         T.validate_address(d, vb)
+        if va in pairs:
+            raise NotIsomorphism(f"source vertex {va} is listed twice")
         pairs[va] = vb
     return E.TreeMap(d, pairs)
 

@@ -84,19 +84,18 @@ class NagaoDatum:
 
     def __init__(self, gamma0: FiniteGroup, h0: SubgroupHandle,
                  prefix: tuple[RootData, ...], period: tuple[RootData, ...],
-                 name: str = "", _validate: bool = True):
+                 name: str = ""):
         self.gamma0 = gamma0
         self.h0 = h0
         self.prefix = prefix
         self.period = period
         self.name = name
 
-        if _validate:
-            _check_datum(gamma0, h0, prefix, period)
+        _check_datum(gamma0, h0, prefix, period)
 
         self.reps = algebra.coset_reps(gamma0, h0)
         self.k = len(self.reps)
-        if _validate and self.k < 3:
+        if self.k < 3:
             raise IndexTooSmall(f"index [Gamma0:H0] = {self.k} < 3 (need q_0 >= 2)")
         self.profile = LevelProfile(
             k=self.k,

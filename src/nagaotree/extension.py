@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 from . import horo as H
 from . import transport as TR
@@ -211,6 +211,32 @@ class ConditionStats(Tally):
 
     instances: list[dict] = field(default_factory=list)
 
+    def tally(self, pairs, image: Callable, names: tuple[str, ...],
+              head: tuple, record: Optional[dict]) -> bool:
+        """Tally one instance from its (point, want) pairs, a point in view
+        when image(point) is not None: skipped with none in view, else
+        counted, recorded with its number of points when `record` is given,
+        and failed at the first image != want, the failure naming `head`,
+        the point and both sides by `names`.  Returns whether it failed,
+        which ends the check."""
+        n = 0
+        failure = None
+        for u, want in pairs:
+            got = image(u)
+            if got is None:
+                continue
+            n += 1
+            if got != want:
+                failure = dict(zip(names, map(str, (*head, u, got, want))))
+                break
+        if n == 0:
+            self.skipped += 1
+            return False
+        self.count(failure)
+        if record is not None:
+            self.instances.append({**record, "points": n})
+        return failure is not None
+
     def to_json(self) -> dict:
         out = {"checked": self.checked, "skipped": self.skipped,
                "failures": self.failures[:self.cap]}
@@ -222,7 +248,8 @@ class ConditionStats(Tally):
 @dataclass
 class LiCertificate:
     """Evidence that a map satisfies the two level-i membership conditions
-    on every instance visible inside the truncation."""
+    on every instance visible inside the truncation.  It is valid when it
+    names no violation, and an unchecked condition (a) is one."""
 
     i: int
     truncation: int
@@ -232,8 +259,7 @@ class LiCertificate:
 
     @property
     def valid(self) -> bool:
-        return (self.level_preserving and self.condition_a.passed
-                and not self.condition_b.failures)
+        return self.first_violation() is None
 
     def first_violation(self) -> Optional[dict]:
         if not self.level_preserving:
@@ -241,6 +267,8 @@ class LiCertificate:
         for name, cond in (("a", self.condition_a), ("b", self.condition_b)):
             if cond.failures:
                 return {"condition": name, "witness": cond.failures[0]}
+        if not self.condition_a.checked:
+            return {"condition": "a", "witness": None, "checked": 0}
         return None
 
     def to_json(self) -> dict:
@@ -283,27 +311,10 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             if y is None:
                 ca.skipped += 1
                 continue
-            mismatch = None
-            points = 0
-            for u, expect in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
-                img = h.apply(u)
-                if img is None:
-                    continue
-                points += 1
-                if img != expect:
-                    mismatch = {"x": str(x), "u": str(u), "h(u)": str(img),
-                                "gamma(u)": str(expect)}
-                    break
-            if points == 0:
-                ca.skipped += 1
-            else:
-                ca.checked += 1
-                if record_instances:
-                    ca.instances.append({"x": str(x), "h(x)": str(y),
-                                         "points": points})
-                if mismatch:
-                    ca.failures.append(mismatch)
-                    return cert
+            record = {"x": str(x), "h(x)": str(y)} if record_instances else None
+            if ca.tally(TR.gamma_xy_on_horoball(d, hb, x_vid, y), h.apply,
+                        ("x", "u", "h(u)", "gamma(u)"), (x,), record):
+                return cert
 
     # condition (b): transporter conjugation against the fixed base component
     graph = H.component_graph(t, i)
@@ -321,31 +332,14 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
             continue
         tau = TR.tau_XY(d, graph, x0_key, y_key)
         tau_img = TR.tau_XY(d, graph, hX0_key, hY_key)
-        points = 0
-        mismatch = None
-        for v in X0.vertices():
-            w = h.apply(v)
-            if w is None:
-                continue
-            mid = T.act_word(d, tau, v)
-            lhs = h.apply(mid)
-            if lhs is None:
-                continue
-            rhs = T.act_word(d, tau_img, w)
-            points += 1
-            if lhs != rhs:
-                mismatch = {"Y": str(y_key), "v": str(v),
-                            "h(tau(v))": str(lhs), "tau'(h(v))": str(rhs)}
-                break
-        if points == 0:
-            cb.skipped += 1
-        else:
-            cb.checked += 1
-            if record_instances:
-                cb.instances.append({"Y": str(y_key), "points": points})
-            if mismatch:
-                cb.failures.append(mismatch)
-                return cert
+        # tau'(h(v)) is formed only where h(v) and h(tau(v)) are in view
+        pairs = ((v, lhs) for v in X0.vertices()
+                 if h.apply(v) is not None
+                 and (lhs := h.apply(T.act_word(d, tau, v))) is not None)
+        record = {"Y": str(y_key)} if record_instances else None
+        if cb.tally(pairs, lambda v: T.act_word(d, tau_img, h.apply(v)),
+                    ("Y", "v", "tau'(h(v))", "h(tau(v))"), (y_key,), record):
+            return cert
     return cert
 
 
@@ -479,7 +473,7 @@ def homomorphism_probe(t: TruncatedTree, g: TreeMap, h: TreeMap,
     Eg = extend_E(t, g, i, lenient=True)
     Eh = extend_E(t, h, i, lenient=True)
     Egh = extend_E(t, gh, i, lenient=True)
-    tally = Tally(cap=5)
+    tally = ConditionStats(cap=5)
     for vid in t.interior_ids():
         v = t.verts[vid]
         lhs = Egh.apply(v)
@@ -490,13 +484,16 @@ def homomorphism_probe(t: TruncatedTree, g: TreeMap, h: TreeMap,
             continue
         tally.count(None if lhs == rhs else
                     {"v": str(v), "E(gh)": str(lhs), "E(g)E(h)": str(rhs)})
-    entry = {"ok": tally.passed, "checked": tally.checked,
-             "skipped": tally.skipped, "failures": tally.failures[:tally.cap]}
-    return ProbeReport(name="homomorphism", entries=[entry])
+    return ProbeReport(name="homomorphism",
+                       entries=[{"ok": tally.passed, **tally.to_json()}])
+
+
+# the longest witness word the commensuration probe accepts
+SEARCH_BOUND = 6
 
 
 def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
-                         i: int, search_bound: int = 6) -> ProbeReport:
+                         i: int) -> ProbeReport:
     """Per-sample commensuration evidence for the extension Eg.
 
     For each sampled word delta, the probe finds a coset shift delta_j in
@@ -532,14 +529,14 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
         for sigma in shifts:
             delta_j = W.delta_mul(d, w_pre, W.delta_inv(d, sigma))
             m = W.delta_mul(d, W.delta_inv(d, delta_j), delta)
-            res = _match_conjugate_to_word(t, Eg, m, search_bound)
+            res = _match_conjugate_to_word(t, Eg, m)
             if res is not None:
                 word, tally = res
                 found = {"delta_j": W.word_to_json(delta_j),
                          "witness": W.word_to_json(word),
                          "witness_length": len(word),
                          "checked": tally.checked, "skipped": tally.skipped,
-                         "bound": search_bound}
+                         "bound": SEARCH_BOUND}
                 break
         if found:
             entry.update(found)
@@ -551,9 +548,9 @@ def commensuration_probe(t: TruncatedTree, Eg: TreeMap, samples: list[Word],
               "membership is not certified"))
 
 
-def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word,
-                             bound: int):
-    """Find delta' with Eg^-1 . m . Eg = act(delta') on the visible ball.
+def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word):
+    """Find delta', of length at most SEARCH_BOUND, with
+    Eg^-1 . m . Eg = act(delta') on the visible ball.
 
     The candidate is forced: the free product acts simply transitively on
     level-0 vertices, so delta' is the quotient of the address words of any
@@ -582,7 +579,7 @@ def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word,
         # c = delta' * v as words on the simply transitive level-0 orbit
         delta_prime = W.delta_mul(d, c[0], W.delta_inv(d, v[0]))
         break
-    if delta_prime is None or len(delta_prime) > bound:
+    if delta_prime is None or len(delta_prime) > SEARCH_BOUND:
         return None
     tally = Tally()
     for vid in t.interior_ids():
@@ -593,7 +590,7 @@ def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word,
             continue
         if lhs != T.act_word(d, delta_prime, v):
             return None
-        tally.checked += 1
+        tally.count()
     return (delta_prime, tally) if tally.passed else None
 
 
@@ -626,8 +623,8 @@ class PipelineReport:
     truncation: int
     certificate: LiCertificate
     commensuration: ProbeReport
-    note: str = ("commensuration is sample-verified on the truncation, "
-                 "not certified")
+    note: ClassVar[str] = ("commensuration is sample-verified on the "
+                           "truncation, not certified")
 
     @property
     def passed(self) -> bool:

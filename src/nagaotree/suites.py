@@ -37,10 +37,9 @@ def suite_degrees(d: NagaoDatum, radius: int) -> SuiteReport:
         lv = t.level(vid)
         want = d.profile.degree(lv)
         got = t.degree(vid)
-        rep.checked += 1
-        if got != want:
-            rep.failures.append({"vertex": str(t.verts[vid]), "level": lv,
-                                 "degree": got, "expected": want})
+        rep.count(None if got == want else
+                  {"vertex": str(t.verts[vid]), "level": lv,
+                   "degree": got, "expected": want})
     rep.info["interior"] = rep.checked
     rep.info["ball"] = t.n
     return rep
@@ -70,22 +69,17 @@ def suite_transitivity(d: NagaoDatum, radius: int) -> SuiteReport:
             expected = 1
             for r in range(i, j + 1):
                 expected *= d.q(r)
-            rep.checked += 1
             if len(m_set) != expected:
-                rep.failures.append({"instance": f"M_{i},{j}", "size": len(m_set),
-                                     "expected": expected})
+                rep.count({"instance": f"M_{i},{j}", "size": len(m_set),
+                           "expected": expected})
                 continue
-            payloads = W.enumerate_payloads(d, list(range(i, j + 1)))
-            images = []
+            rep.count()
             base = T.ray_vertex(i - 1)
-            for pay in payloads:
-                images.append(T.act_word(d, W.syllable_word(1, pay), base))
-            rep.checked += 1
-            if len(set(images)) != expected or set(images) != m_set:
-                rep.failures.append({"instance": f"M_{i},{j}",
-                                     "orbit": len(set(images)),
-                                     "expected": expected,
-                                     "free_and_transitive": False})
+            orbit = {T.act_word(d, W.syllable_word(1, pay), base)
+                     for pay in W.enumerate_payloads(d, list(range(i, j + 1)))}
+            rep.count(None if orbit == m_set else
+                      {"instance": f"M_{i},{j}", "orbit": len(orbit),
+                       "expected": expected, "free_and_transitive": False})
     return rep
 
 
@@ -106,10 +100,8 @@ def suite_horoball(d: NagaoDatum, radius: int, max_i: int = 3) -> SuiteReport:
             g = (d.ident0, W.generator(1, i, u))
             moved = [t.verts[vid] for vid in hb.vertex_ids
                      if T.act(d, g, t.verts[vid]) != t.verts[vid]]
-            rep.checked += 1
-            if moved:
-                rep.failures.append({"i": i, "u": u, "moved": str(moved[0]),
-                                     "count": len(moved)})
+            rep.count({"i": i, "u": u, "moved": str(moved[0]),
+                       "count": len(moved)} if moved else None)
     rep.info["max_i"] = max_i
     return rep
 
@@ -134,10 +126,10 @@ def suite_li(d: NagaoDatum, radius: int, levels=(1, 2), word_len: int = 2,
     for i in levels:
         for w in pool:
             cert = E.check_Li(t, E.TreeMap.from_element(t, (d.ident0, w)), i)
-            rep.checked += 1
-            if not cert.valid:
-                rep.failures.append({"i": i, "word": W.word_to_json(w),
-                                     "violation": cert.first_violation()})
+            violation = cert.first_violation()
+            rep.count(None if violation is None else
+                      {"i": i, "word": W.word_to_json(w),
+                       "violation": violation})
     rep.info["words"] = len(pool)
     return rep
 
@@ -159,11 +151,10 @@ def suite_codist(d: NagaoDatum, radius: int) -> SuiteReport:
     for vid in range(t.n):
         if t.dist[vid] + t.level(vid) > t.radius:
             continue
-        rep.checked += 1
-        if dist0.get(vid) != table.values[t.verts[vid]]:
-            rep.failures.append({"vertex": str(t.verts[vid]),
-                                 "bfs_level": dist0.get(vid),
-                                 "table": table.values[t.verts[vid]]})
+        level = table.values[t.verts[vid]]
+        rep.count(None if dist0.get(vid) == level else
+                  {"vertex": str(t.verts[vid]), "bfs_level": dist0.get(vid),
+                   "table": level})
     return rep
 
 

@@ -292,8 +292,11 @@ class LevelReconstruction:
     local trace).
     """
 
-    ambiguous: bool
     levels: dict[Vertex, int]
+
+    @property
+    def ambiguous(self) -> bool:
+        return not self.levels
 
 
 def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
@@ -320,7 +323,7 @@ def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
     one, so no label is forced.
     """
     if t.datum.profile.biregular:
-        return LevelReconstruction(ambiguous=True, levels={})
+        return LevelReconstruction(levels={})
     prof = t.datum.profile
     top = 2 * t.radius + 2
     kids: list[list[int]] = [[] for _ in range(t.n)]
@@ -386,4 +389,4 @@ def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
         raise NotInTruncation("degree data admits no level labelling")
     levels = {t.verts[vid]: next(iter(f))
               for vid, f in enumerate(feasible) if len(f) == 1}
-    return LevelReconstruction(ambiguous=not levels, levels=levels)
+    return LevelReconstruction(levels)

@@ -9,6 +9,7 @@ the negative tree itself is never materialized.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 from . import tree as T
 from . import words as W
@@ -20,8 +21,7 @@ from .tree import TruncatedTree, Vertex
 class CodistanceTable:
     """Codistance from the fixed negative base vertex, tabulated on a ball."""
 
-    base_tag: str
-    tree: TruncatedTree
+    base_tag: ClassVar[str] = "v-"
     values: dict[Vertex, int]
 
     def value(self, v: Vertex) -> int:
@@ -41,8 +41,7 @@ class CodistanceTable:
 
 def synthesize_codistance(t: TruncatedTree) -> CodistanceTable:
     """The codistance from the negative base vertex is the level function."""
-    return CodistanceTable(base_tag="v-", tree=t,
-                           values={v: v[2] for v in t.verts})
+    return CodistanceTable({v: v[2] for v in t.verts})
 
 
 def verify_codist(table: CodistanceTable, t: TruncatedTree) -> Tally:

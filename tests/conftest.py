@@ -67,22 +67,25 @@ def ball_d2_4(d2):
 def twisted_datum(corrupt: bool = False):
     """Gamma0 = S3, H0 = C2 acting on U_2 = C3 by inversion: the only test
     datum with a nontrivial root-group action, so the h0-twist runs.  The
-    corrupt variant damages one table entry of that action."""
+    corrupt variant damages one table entry of that action; the datum
+    refuses such a schedule, so the damaged slot is swapped in after
+    construction."""
     g0 = A.symmetric_group(3)
     h0 = A.generated_subgroup(g0, [1])
     c2 = A.cyclic_group(2)
     c3 = A.cyclic_group(3)
     theta = A.inversion_action(h0, c3)
-    if corrupt:
-        rows = dict(theta.rows)
-        rows[1] = (0, 1, 1)  # one entry damaged: no longer a bijection
-        theta = A.GroupAction(acting=h0, target=c3, rows=rows)
     prefix = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),
               D.RootData(group=c3, action=theta))
     period = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),)
-    return D.NagaoDatum(g0, h0, prefix, period,
-                        name="twisted" + ("-corrupt" if corrupt else ""),
-                        _validate=not corrupt)
+    d = D.NagaoDatum(g0, h0, prefix, period,
+                     name="twisted" + ("-corrupt" if corrupt else ""))
+    if corrupt:
+        rows = dict(theta.rows)
+        rows[1] = (0, 1, 1)  # one entry damaged: no longer a bijection
+        d.prefix = (prefix[0], D.RootData(
+            group=c3, action=A.GroupAction(acting=h0, target=c3, rows=rows)))
+    return d
 
 
 # -- oracles ------------------------------------------------------------------

@@ -180,7 +180,7 @@ def test_criterion_7_probes(d0, ball_d0_6):
         wpool = [w for w in W.enumerate_words(d0, 3, [1, 2])
                  if w and T.act_word(d0, w, x0) in t]
         samples = [wpool[rng.randrange(len(wpool))] for _ in range(30)]
-        rep = E.commensuration_probe(t, Eg, samples, 1, search_bound=6)
+        rep = E.commensuration_probe(t, Eg, samples, 1)
         assert all(e["ok"] for e in rep.entries), rep.entries
         assert all(e["witness_length"] <= 6 for e in rep.entries)
 

@@ -312,6 +312,22 @@ def test_extend_bad_phi_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+def test_extend_duplicate_source_exit_2(tmp_path, capsys):
+    # x_{1,1} listed with two images: a relation, not a map
+    x11, x12 = (W.EMPTY, 1, 1), (W.EMPTY, 2, 1)
+    p = tmp_path / "phi.json"
+    p.write_text(json.dumps({"pairs": [
+        [S.vertex_to_json(x11), S.vertex_to_json(x11)],
+        [S.vertex_to_json(x11), S.vertex_to_json(x12)]]}))
+    code, out = run(capsys, "extend", "--datum", "D0", "--radius", "4",
+                    "--phi", str(p))
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["ok"] is False
+    assert payload["error"] == "NotIsomorphism"
+    assert "listed twice" in payload["detail"]
+
+
 def test_codist_command(capsys):
     code, out = run(capsys, "codist", "--datum", "D2", "--radius", "3")
     assert code == 0

@@ -1,3 +1,4 @@
+import json
 import random
 from operator import itemgetter
 
@@ -5,6 +6,7 @@ import pytest
 
 from conftest import (greedy_match_oracle, reverse_component_graphs,
                       rotating_star, twisted_datum)
+from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
@@ -144,6 +146,41 @@ def test_check_li_catches_horoball_violation(d0, ball_d0_6):
     assert not cert.valid
     viol = cert.first_violation()
     assert viol["condition"] == "a"
+
+
+def _li_pool(d):
+    """The word pool of the li suite, with its run_suites settings."""
+    word_len, support = (2, 3) if d.k <= 3 else (1, 2)
+    return W.enumerate_words(d, word_len, list(range(1, support + 1)))
+
+
+@pytest.mark.parametrize("name", ["D0", "D3"])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_check_li_valid_iff_no_violation(name, radius):
+    d = D.builtin(name)
+    t = T.ball(d, T.base_vertex(), radius)
+    for i in (1, 2):
+        for w in _li_pool(d):
+            cert = E.check_Li(t, E.TreeMap.from_element(t, (d.ident0, w)), i)
+            # the two-rule form of validity, before it was derived from
+            # first_violation
+            oracle = (cert.level_preserving and cert.condition_a.passed
+                      and not cert.condition_b.failures)
+            assert cert.valid == (cert.first_violation() is None) == oracle
+
+
+@pytest.mark.parametrize("radius", [0, 1])
+def test_li_suite_names_every_violation(radius, capsys):
+    # no level-i horoball is in view, so condition (a) checks nothing
+    code = cli.main(["suite", "--datum", "D0", "--radius", str(radius),
+                     "--suites", "li"])
+    (rep,) = json.loads(capsys.readouterr().out)["reports"]
+    assert code == 1
+    assert rep["checked"] == 632
+    assert rep["failures"]
+    for f in rep["failures"]:
+        assert f["violation"] == {"condition": "a", "witness": None,
+                                  "checked": 0}
 
 
 def test_extend_E_identity_is_identity(d0, ball_d0_6):
@@ -295,7 +332,7 @@ def test_commensuration_nontrivial_extension(d0, ball_d0_6):
     pool = [w for w in W.enumerate_words(d0, 3, [1, 2])
             if w and T.act_word(d0, w, x0) in t]
     samples = [pool[rng.randrange(len(pool))] for _ in range(30)]
-    rep = E.commensuration_probe(t, Eg, samples, 1, search_bound=6)
+    rep = E.commensuration_probe(t, Eg, samples, 1)
     assert rep.passed
     assert all(e["ok"] for e in rep.entries)
 
