@@ -316,16 +316,6 @@ def affine_group(p: int) -> FiniteGroup:
     return trusted_group(table, 0, name=f"AGL(1,{p})")
 
 
-def inversion_action(acting: SubgroupHandle, target: FiniteGroup) -> GroupAction:
-    """The order-2 subgroup acts on an abelian target by u -> u^-1."""
-    ident = tuple(range(target.order))
-    invrow = tuple(target.inv(u) for u in range(target.order))
-    rows = {}
-    for h in acting.members:
-        rows[h] = ident if h == acting.parent.identity else invrow
-    return GroupAction(acting=acting, target=target, rows=rows)
-
-
 def group_from_json(obj: dict, name: str = "") -> FiniteGroup:
     return build_group(obj["table"], name=name or obj.get("name", ""))
 

@@ -22,6 +22,7 @@ sample-based evidence, not certificates.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, ClassVar, Optional
@@ -293,6 +294,21 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
 
     Instances whose data leave the truncation are counted as skipped, never
     silently passed.
+
+    Condition (a) forms the list (u, gamma_{x,y} . u) over a horoball once,
+    at its first base point x with y = h(x) in view, and tallies every base
+    point of the horosphere against that list; each base point is still its
+    own instance.  The reuse is exact.  For x' on the horosphere of x and
+    y' = gamma_{x,y} . x', gamma_{x',y'} = gamma_{x,y} on HB(x): write
+    w_{x'} = w_x delta sigma and w_{y'} = w_y rho(delta) sigma', where delta
+    is the one syllable at ray s_x supported above i, rho the trivial-twist
+    ray relabel s_x -> s_y of `transport.gamma_xy_on_horoball`, and sigma,
+    sigma' lie in U_{<=i} at their rays, so they fix HB pointwise and commute
+    with everything supported above i (Serre, Trees, ch. II 1.6).  The list
+    holds (x', gamma_{x,y} . x') for every x' of the horosphere, and the
+    check returns at its first failure, so a later x' with h(x') in view is
+    reached only when h(x') = gamma_{x,y} . x', and its own list would be
+    the same.
     """
     d = t.datum
     lp = h.is_level_preserving()
@@ -303,17 +319,20 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     if not lp:
         return cert
 
-    # condition (a): horoball restrictions
+    # condition (a): horoball restrictions, one image list per horoball
     for hb in H.horoballs(t, i):
+        images = None
         for x_vid in hb.horosphere_ids():
             x = t.verts[x_vid]
             y = h.apply(x)
             if y is None:
                 ca.skipped += 1
                 continue
+            if images is None:
+                images = list(TR.gamma_xy_on_horoball(d, hb, x_vid, y))
             record = {"x": str(x), "h(x)": str(y)} if record_instances else None
-            if ca.tally(TR.gamma_xy_on_horoball(d, hb, x_vid, y), h.apply,
-                        ("x", "u", "h(u)", "gamma(u)"), (x,), record):
+            if ca.tally(images, h.apply, ("x", "u", "h(u)", "gamma(u)"), (x,),
+                        record):
                 return cert
 
     # condition (b): transporter conjugation against the fixed base component
@@ -658,8 +677,6 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     syllable above radius // 2 always leaves the ball: the pool is
     enumerated over positions up to min(i + 1, radius // 2) only.
     """
-    import random
-
     t = T.ball(d, T.base_vertex(), radius)
     _check_partial_iso(d, phi.pairs, require_levels=True)
     touched = list(phi.pairs) + list(phi.pairs.values())

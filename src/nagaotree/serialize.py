@@ -1,4 +1,4 @@
-"""JSON and DOT serialization for addresses, trees, graphs and reports,
+"""JSON and DOT serialization for addresses, trees and reports,
 and the shared check tally of the reports.
 
 Every report is written by one canonical JSON writer, `write_canonical(obj,
@@ -76,21 +76,6 @@ def tree_to_dot(t):
     for a, b in t.edges():
         yield f"  v{a} -- v{b};\n"
     yield "}\n"
-
-
-def component_graph_to_dot(g) -> str:
-    """DOT export of a component graph, edges labelled by witness pairs."""
-    lines = [f"graph components_{g.i} {{"]
-    ids = {key: n for n, key in enumerate(g.node_keys())}
-    for key, n in ids.items():
-        lines.append(f'  n{n} [label="{vertex_label(key)}"];')
-    for (a, b), (x, y) in sorted(g.edge_witness.items()):
-        lines.append(
-            f'  n{ids[a]} -- n{ids[b]} '
-            f'[label="{vertex_label(x)}~{vertex_label(y)}"];'
-        )
-    lines.append("}")
-    return "\n".join(lines)
 
 
 class Rows:

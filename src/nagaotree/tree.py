@@ -97,13 +97,6 @@ def neighbors(d: NagaoDatum, v: Vertex, checked: bool = True) -> list[Vertex]:
     return out
 
 
-def up_neighbor(d: NagaoDatum, v: Vertex) -> Vertex:
-    w, s, i = v
-    if i == 0:
-        raise NonCanonicalAddress("level-0 vertices have no distinguished up-neighbor")
-    return (W.canon_coset(d, w, i + 1, s), s, i + 1)
-
-
 @dataclass
 class TruncatedTree:
     """Radius-rho ball around a center vertex, with exact addresses.

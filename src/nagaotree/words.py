@@ -126,10 +126,6 @@ def gamma0_conj(d: NagaoDatum, g0: int, w: Word) -> Word:
     return tuple(out)
 
 
-def gamma_identity(d: NagaoDatum) -> Gamma:
-    return (d.ident0, EMPTY)
-
-
 def gamma_mul(d: NagaoDatum, a: Gamma, b: Gamma) -> Gamma:
     """(g, w)(g', w') = (g g', conj(g'^-1, w) * w')."""
     g, w = a

@@ -10,8 +10,11 @@ filter the whole last payload, and reach every root group through
 `d.root(j).group`.  The horo helpers at the end are the test-only views
 (rays, horospheres, components, the uniform piece) read off the library's
 level cut.  The extension helpers at the end are the parent form of the
-greedy matcher, processed in address order by a heap, the ray-rotating star
-map, and the reversed-walk patch of the component graph.
+greedy matcher, processed in address order by a heap, the per-base-point
+form of `check_Li` condition (a), the ray-rotating star map, and the
+reversed-walk patch of the component graph.  The small constructions below
+the fixtures (`gamma_identity`, `up_neighbor`, `inversion_action`,
+`component_graph_to_dot`) have no caller in the library.
 """
 
 from __future__ import annotations
@@ -28,10 +31,12 @@ from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
+from nagaotree import transport as TR
 from nagaotree import tree as T
 from nagaotree import words as W
 from nagaotree.errors import (CannotExtendInTruncation, LevelTooHigh,
-                              LevelZeroBase)
+                              LevelZeroBase, NonCanonicalAddress)
+from nagaotree.serialize import vertex_label
 
 
 @pytest.fixture(scope="session")
@@ -64,6 +69,42 @@ def ball_d2_4(d2):
     return T.ball(d2, T.base_vertex(), 4)
 
 
+def gamma_identity(d):
+    return (d.ident0, W.EMPTY)
+
+
+def up_neighbor(d, v):
+    w, s, i = v
+    if i == 0:
+        raise NonCanonicalAddress("level-0 vertices have no distinguished up-neighbor")
+    return (W.canon_coset(d, w, i + 1, s), s, i + 1)
+
+
+def inversion_action(acting, target):
+    """The order-2 subgroup acts on an abelian target by u -> u^-1."""
+    ident = tuple(range(target.order))
+    invrow = tuple(target.inv(u) for u in range(target.order))
+    rows = {}
+    for h in acting.members:
+        rows[h] = ident if h == acting.parent.identity else invrow
+    return A.GroupAction(acting=acting, target=target, rows=rows)
+
+
+def component_graph_to_dot(g) -> str:
+    """DOT export of a component graph, edges labelled by witness pairs."""
+    lines = [f"graph components_{g.i} {{"]
+    ids = {key: n for n, key in enumerate(g.node_keys())}
+    for key, n in ids.items():
+        lines.append(f'  n{n} [label="{vertex_label(key)}"];')
+    for (a, b), (x, y) in sorted(g.edge_witness.items()):
+        lines.append(
+            f'  n{ids[a]} -- n{ids[b]} '
+            f'[label="{vertex_label(x)}~{vertex_label(y)}"];'
+        )
+    lines.append("}")
+    return "\n".join(lines)
+
+
 def twisted_datum(corrupt: bool = False):
     """Gamma0 = S3, H0 = C2 acting on U_2 = C3 by inversion: the only test
     datum with a nontrivial root-group action, so the h0-twist runs.  The
@@ -74,7 +115,7 @@ def twisted_datum(corrupt: bool = False):
     h0 = A.generated_subgroup(g0, [1])
     c2 = A.cyclic_group(2)
     c3 = A.cyclic_group(3)
-    theta = A.inversion_action(h0, c3)
+    theta = inversion_action(h0, c3)
     prefix = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),
               D.RootData(group=c3, action=theta))
     period = (D.RootData(group=c2, action=A.trivial_action(h0, c2)),)
@@ -397,7 +438,7 @@ def level_increasing_ray(d, x, length: int) -> list:
         raise LevelZeroBase(f"{x} has level 0: no level-increasing ray")
     out = [x]
     for _ in range(length):
-        out.append(T.up_neighbor(d, out[-1]))
+        out.append(up_neighbor(d, out[-1]))
     return out
 
 
@@ -501,6 +542,30 @@ def greedy_match_oracle(t, pairs, partner_class, level_bound=None) -> dict:
                 heapq.heappush(heap, (T.address_key(u), u))
                 queued.add(u)
     return match
+
+
+def check_li_oracle(t, h, i, record_instances=False):
+    """`check_Li` with condition (a) in its per-base-point form, which
+    rebuilds gamma_{x,h(x)} on the horoball for every base point x in view.
+    Condition (b) is the library's, kept when condition (a) passes."""
+    d = t.datum
+    cert = E.check_Li(t, h, i, record_instances)
+    if not cert.level_preserving:
+        return cert
+    ca = E.ConditionStats(cap=10)
+    for hb in H.horoballs(t, i):
+        for x_vid in hb.horosphere_ids():
+            x = t.verts[x_vid]
+            y = h.apply(x)
+            if y is None:
+                ca.skipped += 1
+                continue
+            record = {"x": str(x), "h(x)": str(y)} if record_instances else None
+            if ca.tally(TR.gamma_xy_on_horoball(d, hb, x_vid, y), h.apply,
+                        ("x", "u", "h(u)", "gamma(u)"), (x,), record):
+                return dataclasses.replace(cert, condition_a=ca,
+                                           condition_b=E.ConditionStats(cap=10))
+    return dataclasses.replace(cert, condition_a=ca)
 
 
 def rotating_star(d):

@@ -10,7 +10,8 @@ import time
 
 import pytest
 
-from conftest import all_level_matchings, reverse_component_graphs
+from conftest import (all_level_matchings, gamma_identity,
+                      reverse_component_graphs)
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import horo as H
@@ -135,7 +136,7 @@ def test_criterion_6_extension_uniqueness(d0, ball_d0_6):
         key = graph.comp_of_vid[t.vid(T.base_vertex())]
         comp = graph.components[key]
         ident = E.TreeMap(d0, {v: v for v in comp.vertices()},
-                          backing=W.gamma_identity(d0))
+                          backing=gamma_identity(d0))
         out = E.extend_E(t, ident, 1)
         assert all(out.pairs[v] == v for v in t.verts)
         rng = random.Random(41)

@@ -2,7 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_cosets, perm_group_closure, perm_table
+from conftest import (brute_cosets, inversion_action, perm_group_closure,
+                      perm_table)
 from nagaotree import algebra as A
 from nagaotree.errors import NoIdentity, NoInverse, NotAssociative, NotSubgroup
 
@@ -125,7 +126,7 @@ def test_validate_action_inversion_on_c3():
     c2 = A.cyclic_group(2)
     h = A.subgroup(c2, [0, 1])
     u = A.cyclic_group(3)
-    act = A.inversion_action(h, u)
+    act = inversion_action(h, u)
     assert A.validate_action(act).valid
     assert act.apply(1, 1) == 2
 
@@ -146,7 +147,7 @@ def test_action_composition_law_exhaustive():
     c2 = A.cyclic_group(2)
     h = A.subgroup(c2, [0, 1])
     u = A.cyclic_group(6)
-    act = A.inversion_action(h, u)
+    act = inversion_action(h, u)
     for h1 in h.members:
         for h2 in h.members:
             h12 = c2.mul(h1, h2)

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from conftest import twisted_datum
+from conftest import component_graph_to_dot, twisted_datum
 from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -348,7 +348,7 @@ def test_component_graph_dot(d0):
     from nagaotree import horo as H
     t = T.ball(d0, T.base_vertex(), 4)
     g = H.component_graph(t, 1)
-    dot = S.component_graph_to_dot(g)
+    dot = component_graph_to_dot(g)
     assert dot.startswith("graph components_1 {")
     assert "--" in dot
 

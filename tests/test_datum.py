@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import gamma_i
+from conftest import gamma_i, inversion_action
 from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import words as W
@@ -158,7 +158,7 @@ def _twisted_datum():
     g = A.symmetric_group(3)
     h = A.generated_subgroup(g, [1])
     c3 = A.cyclic_group(3)
-    act = A.inversion_action(h, c3)
+    act = inversion_action(h, c3)
     return D.NagaoDatum(g, h, (), (D.RootData(group=c3, action=act),),
                         name="twisted")
 

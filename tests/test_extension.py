@@ -1,11 +1,14 @@
+import functools
 import json
 import random
 from operator import itemgetter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (greedy_match_oracle, reverse_component_graphs,
-                      rotating_star, twisted_datum)
+from conftest import (check_li_oracle, gamma_identity, greedy_match_oracle,
+                      reverse_component_graphs, rotating_star, twisted_datum)
 from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -113,7 +116,7 @@ def test_greedy_matchers_equal_the_heap_oracle(name):
 
 
 def test_check_li_identity(d0, ball_d0_6):
-    ident = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
+    ident = E.TreeMap.from_element(ball_d0_6, gamma_identity(d0))
     cert = E.check_Li(ball_d0_6, ident, 1)
     assert cert.valid
 
@@ -170,21 +173,101 @@ def test_check_li_valid_iff_no_violation(name, radius):
 
 
 @pytest.mark.parametrize("radius", [0, 1])
-def test_li_suite_names_every_violation(radius, capsys):
-    # no level-i horoball is in view, so condition (a) checks nothing
-    code = cli.main(["suite", "--datum", "D0", "--radius", str(radius),
-                     "--suites", "li"])
-    (rep,) = json.loads(capsys.readouterr().out)["reports"]
-    assert code == 1
-    assert rep["checked"] == 632
-    assert rep["failures"]
-    for f in rep["failures"]:
-        assert f["violation"] == {"condition": "a", "witness": None,
-                                  "checked": 0}
+def test_li_suite_skips_unchecked_certificates(radius, capsys):
+    # at r1 only the level-1 horoballs are in view, at r0 none: a
+    # certificate whose condition (a) checks nothing is skipped, not failed
+    for name in ("D0", "D1", "D2", "D3"):
+        code = cli.main(["suite", "--datum", name, "--radius", str(radius),
+                         "--suites", "li"])
+        (rep,) = json.loads(capsys.readouterr().out)["reports"]
+        words = len(_li_pool(D.builtin(name)))
+        assert rep["failures"] == []
+        assert rep["checked"] == radius * words
+        assert rep["info"]["skipped"] == (2 - radius) * words
+        assert rep["passed"] is bool(radius)
+        assert code == (0 if radius else 1)
+
+
+# condition (a) against its per-base-point oracle: balls with horospheres of
+# up to six base points, the twisted pair at every level it shows
+_LI_ORACLE_BALLS = {"D0": 5, "D1": 5, "D3": 5, "twisted": 4,
+                    "twisted-corrupt": 4}
+
+
+@functools.cache
+def _li_oracle_case(name):
+    if name.startswith("twisted"):
+        d = twisted_datum(corrupt=name == "twisted-corrupt")
+    else:
+        d = D.builtin(name)
+    t = T.ball(d, T.base_vertex(), _LI_ORACLE_BALLS[name])
+    levels = (1, 2, 3) if name.startswith("twisted") else (1, 2)
+    g0s = [g for g in range(d.gamma0.order) if g != d.ident0]
+    by_level = [[v for v in t.verts if v[2] == lv] for lv in (1, 2, 3)]
+    return d, t, levels, g0s, _li_pool(d), by_level
+
+
+def _first_multi_horoball(t, i):
+    return next(hb for hb in H.horoballs(t, i) if len(hb.horosphere_ids()) > 1)
+
+
+def _assert_matches_oracle(t, h, i):
+    cert = E.check_Li(t, h, i, record_instances=True)
+    assert cert.to_json() == check_li_oracle(t, h, i, True).to_json()
+    return cert
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_check_li_matches_per_base_point_oracle(data):
+    name = data.draw(st.sampled_from(sorted(_LI_ORACLE_BALLS)))
+    d, t, levels, g0s, pool, by_level = _li_oracle_case(name)
+    g = (data.draw(st.sampled_from(g0s)), data.draw(st.sampled_from(pool)))
+    h = E.TreeMap.from_element(t, g)
+    if data.draw(st.booleans()):
+        # damage: swap the images of two vertices of one level in 1..3
+        same = data.draw(st.sampled_from(by_level))
+        a, b = data.draw(st.lists(st.sampled_from(same), min_size=2,
+                                  max_size=2, unique=True))
+        h.pairs[a], h.pairs[b] = h.pairs[b], h.pairs[a]
+    view = data.draw(st.integers(0, t.radius))
+    if view < t.radius:
+        # partial: the map is known only within distance `view` of the base
+        h = E.TreeMap(d, {v: img for v, img in h.pairs.items()
+                          if t.dist[t.vid(v)] <= view})
+    _assert_matches_oracle(t, h, data.draw(st.sampled_from(levels)))
+
+
+@pytest.mark.parametrize("name", sorted(_LI_ORACLE_BALLS))
+def test_check_li_fails_at_the_first_base_point(name):
+    # two level-(i+1) images swapped inside a horoball whose horosphere has
+    # several base points: the first base point already fails, and its
+    # witness is the oracle's
+    d, t, _, g0s, pool, _ = _li_oracle_case(name)
+    h = E.TreeMap.from_element(t, (g0s[0], pool[-1]))
+    hb = _first_multi_horoball(t, 1)
+    a, b = [t.verts[u] for u in hb.vertex_ids if t.level(u) == 2][:2]
+    h.pairs[a], h.pairs[b] = h.pairs[b], h.pairs[a]
+    cert = _assert_matches_oracle(t, h, 1)
+    x = t.verts[hb.horosphere_ids()[0]]
+    assert cert.first_violation()["witness"]["x"] == str(x)
+
+
+@pytest.mark.parametrize("name", sorted(_LI_ORACLE_BALLS))
+@pytest.mark.parametrize("i", [1, 2])
+def test_check_li_partial_map_skips_base_points(name, i):
+    # the first base point of a horosphere is out of view, so its image list
+    # is formed at the second one, and the skipped count is the oracle's
+    d, t, _, g0s, pool, _ = _li_oracle_case(name)
+    pairs = E.TreeMap.from_element(t, (g0s[-1], pool[1])).pairs
+    del pairs[t.verts[_first_multi_horoball(t, i).horosphere_ids()[0]]]
+    cert = _assert_matches_oracle(t, E.TreeMap(d, pairs), i)
+    assert cert.condition_a.skipped >= 1
+    assert cert.condition_a.checked >= 1
 
 
 def test_extend_E_identity_is_identity(d0, ball_d0_6):
-    h = base_component_map(d0, ball_d0_6, 1, W.gamma_identity(d0))
+    h = base_component_map(d0, ball_d0_6, 1, gamma_identity(d0))
     out = E.extend_E(ball_d0_6, h, 1)
     assert all(out.pairs[v] == v for v in ball_d0_6.verts)
 
@@ -245,7 +328,7 @@ def test_extend_E_truncation_error_on_partial_input(d0, ball_d0_6):
 
 
 def test_homomorphism_probe_identities(d0, ball_d0_6):
-    ident = base_component_map(d0, ball_d0_6, 1, W.gamma_identity(d0))
+    ident = base_component_map(d0, ball_d0_6, 1, gamma_identity(d0))
     rep = E.homomorphism_probe(ball_d0_6, ident, ident, 1)
     assert rep.passed
 
@@ -277,7 +360,7 @@ def test_homomorphism_probe_greedy_pairs(d0, ball_d0_6):
 
 
 def test_commensuration_identity_witness(d0, ball_d0_6):
-    Eg = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
+    Eg = E.TreeMap.from_element(ball_d0_6, gamma_identity(d0))
     samples = [W.generator(1, 2, 1), W.generator(2, 1, 1)]
     rep = E.commensuration_probe(ball_d0_6, Eg, samples, 1)
     assert rep.passed
@@ -298,7 +381,7 @@ def test_commensuration_shifts_enumerated_once(d0, ball_d0_6, monkeypatch):
         return enumerate_words(*args)
 
     monkeypatch.setattr(W, "enumerate_words", counted)
-    Eg = E.TreeMap.from_element(ball_d0_6, W.gamma_identity(d0))
+    Eg = E.TreeMap.from_element(ball_d0_6, gamma_identity(d0))
     samples = [W.generator(1, 2, 1), W.generator(2, 1, 1), W.generator(1, 1, 1)]
     rep = E.commensuration_probe(ball_d0_6, Eg, samples, 2)
     assert rep.passed

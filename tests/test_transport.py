@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from conftest import twisted_datum
+from conftest import gamma_identity, twisted_datum
 from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -83,7 +83,7 @@ def test_gamma_xy_moves_and_inverts(d0):
         assert T.act(d0, g, x) == y
         assert TR.gamma_xy(d0, y, x) == W.gamma_inv(d0, g)
     x = lvl2[0]
-    assert TR.gamma_xy(d0, x, x) == W.gamma_identity(d0)
+    assert TR.gamma_xy(d0, x, x) == gamma_identity(d0)
     with pytest.raises(LevelMismatch):
         TR.gamma_xy(d0, T.ray_vertex(1), T.ray_vertex(2))
 

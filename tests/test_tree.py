@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import ball_size_oracle, uniform_piece
+from conftest import ball_size_oracle, gamma_identity, uniform_piece
 from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import tree as T
@@ -86,7 +86,7 @@ def test_edge_rows_in_order_without_sort(name):
 def test_act_identity(d0):
     v = (W.generator(2, 3, 1), 2, 2)
     T.validate_address(d0, v)
-    assert T.act(d0, W.gamma_identity(d0), v) == v
+    assert T.act(d0, gamma_identity(d0), v) == v
 
 
 def test_level_zero_orbit_is_simply_transitive(d0, ball_d0_6):

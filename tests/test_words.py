@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (canon_coset_oracle, delta_mul_oracle, gamma0_conj_oracle,
-                      payload_inv_oracle, payload_mul_oracle, twisted_datum)
+                      gamma_identity, payload_inv_oracle, payload_mul_oracle,
+                      twisted_datum)
 from nagaotree import datum as D
 from nagaotree import tree as T
 from nagaotree import words as W
@@ -128,8 +129,8 @@ def test_gamma_mul_pure_words(d0):
 def test_gamma_mul_group_inverse(d1):
     g = (2, W.generator(1, 1, 1))
     gi = W.gamma_inv(d1, g)
-    assert W.gamma_mul(d1, g, gi) == W.gamma_identity(d1)
-    assert W.gamma_mul(d1, gi, g) == W.gamma_identity(d1)
+    assert W.gamma_mul(d1, g, gi) == gamma_identity(d1)
+    assert W.gamma_mul(d1, gi, g) == gamma_identity(d1)
 
 
 def test_gamma_mul_associative_sampled(d1):
