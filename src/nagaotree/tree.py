@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import words as W
 from .datum import NagaoDatum
 from .errors import NonCanonicalAddress, NotInTruncation
-from .serialize import Rows, vertex_to_json
+from .serialize import Address, Rows
 from .words import Gamma, Word
 
 Vertex = tuple  # (word, s, i)
@@ -159,7 +159,7 @@ class TruncatedTree:
             "datum": self.datum.name or "custom",
             "radius": self.radius,
             "vertices": Rows(self.n, lambda: (
-                {"id": i, "address": vertex_to_json(v), "level": v[2],
+                {"id": i, "address": Address(v), "level": v[2],
                  "dist": dist[i]}
                 for i, v in enumerate(verts))),
             "edges": Rows(sum(map(len, self.adj)) // 2,

@@ -13,7 +13,7 @@ from typing import ClassVar
 
 from . import tree as T
 from . import words as W
-from .serialize import Rows, Tally, vertex_to_json
+from .serialize import Address, Rows, Tally
 from .tree import TruncatedTree, Vertex
 
 
@@ -34,7 +34,7 @@ class CodistanceTable:
         return {
             "base": self.base_tag,
             "values": Rows(len(values), lambda: (
-                [vertex_to_json(v), values[v]]
+                [Address(v), values[v]]
                 for v in sorted(values, key=T.address_key))),
         }
 

@@ -13,8 +13,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import twisted_datum
 from nagaotree import cli
+from nagaotree import datum as D
 from nagaotree import serialize as S
+from nagaotree import tree as T
 
 
 def oracle(obj) -> str:
@@ -22,7 +25,10 @@ def oracle(obj) -> str:
 
 
 def materialise(obj):
-    """`obj` with every `Rows` made into a list, for the oracle."""
+    """`obj` with every `Rows` made into a list and every `Address(v)` into
+    `vertex_to_json(v)`, for the oracle."""
+    if isinstance(obj, S.Address):
+        return S.vertex_to_json(obj.v)
     if isinstance(obj, (list, tuple, S.Rows)):
         return [materialise(v) for v in obj]
     if isinstance(obj, dict):
@@ -149,7 +155,7 @@ ROWS_CASES = {
 
 
 @pytest.mark.parametrize("rows", list(ROWS_CASES.values()), ids=list(ROWS_CASES))
-@pytest.mark.parametrize("batch", [1, 2, S.BATCH])
+@pytest.mark.parametrize("batch", [1, 2, S.BATCH, 4096])
 def test_rows_written_as_their_list(rows, batch):
     make = Counting(rows)
     value = {"rows": S.Rows(len(rows), make), "after": [1, 2]}
@@ -168,6 +174,63 @@ def test_nested_rows_written_as_their_list():
     assert [m.calls for m in [outer] + inner] == [1, 1, 0, 1]
 
 
+def ball_vertices(name: str, radius: int) -> list:
+    d = twisted_datum() if name == "twisted" else D.builtin(name)
+    return T.ball(d, T.base_vertex(), radius).verts
+
+
+def d0_r12_high_positions() -> list:
+    """The D0 r12 vertices with a payload position of 10 or more, whose keys
+    sort as text ("10" before "9"), and a D0 address with payload positions
+    2, 10 and 11."""
+    verts = [v for v in ball_vertices("D0", 12)
+             if any(j >= 10 for _, pay in v[0] for j, _ in pay)]
+    v = (((1, ((2, 1), (10, 1), (11, 1))),), 2, 1)
+    T.validate_address(D.builtin("D0"), v)
+    return verts + [v]
+
+
+ADDRESS_CASES = {
+    "D0": lambda: ball_vertices("D0", 5),
+    "D1": lambda: ball_vertices("D1", 5),
+    "D2": lambda: ball_vertices("D2", 3),
+    "D3": lambda: ball_vertices("D3", 5),
+    "twisted": lambda: ball_vertices("twisted", 5),
+    "base": lambda: [T.base_vertex()],
+    "level-0-word": lambda: [(((1, ((1, 1),)),), 0, 0)],
+    "D0-r12-positions-10-11": d0_r12_high_positions,
+}
+
+
+def nest(value, depth: int):
+    """`value` inside `depth` containers, lists and dicts in turn."""
+    for n in range(depth):
+        value = [value, 0] if n % 2 else {"a": value, "b": 0}
+    return value
+
+
+@pytest.mark.parametrize("case", list(ADDRESS_CASES), ids=list(ADDRESS_CASES))
+@pytest.mark.parametrize("batch", [1, S.BATCH])
+def test_address_written_as_its_vertex_json(case, batch):
+    verts = ADDRESS_CASES[case]()
+    assert verts
+    for depth in range(5):
+        value = nest([S.Address(v) for v in verts], depth)
+        want = oracle(nest([S.vertex_to_json(v) for v in verts], depth))
+        assert "".join(write_in_batches(value, batch)) == want
+        # a lone address, at its own nesting depth
+        value = nest(S.Address(verts[-1]), depth)
+        want = oracle(nest(S.vertex_to_json(verts[-1]), depth))
+        assert "".join(write_in_batches(value, batch)) == want
+
+
+def test_address_memo_keyed_by_indent():
+    # one call writes the same syllables at several indents
+    verts = ball_vertices("D3", 4)
+    value = [nest([S.Address(v) for v in verts], depth) for depth in range(5)]
+    assert S.dumps_canonical(value) == oracle(materialise(value))
+
+
 def test_generators_refused_as_json_does():
     # only Rows stands for a list: any other iterable is refused
     with pytest.raises(TypeError):
@@ -176,6 +239,8 @@ def test_generators_refused_as_json_does():
 
 @pytest.mark.parametrize("command,name,radius", [
     ("tree", "D0", 8), ("codist", "D0", 8),
+    ("tree", "D1", 6), ("codist", "D1", 6),
+    ("tree", "D2", 4), ("codist", "D2", 4),
     ("tree", "D3", 7), ("codist", "D3", 7),
 ])
 def test_cli_reports_match_json(monkeypatch, tmp_path, command, name, radius):
