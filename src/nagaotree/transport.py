@@ -13,6 +13,8 @@ Three families, all exact group elements:
 from __future__ import annotations
 
 import functools
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -102,6 +104,32 @@ def tau_along(d: NagaoDatum, g: ComponentGraph, path: list[Vertex]) -> Word:
 
 
 # -- verification sweep -------------------------------------------------------
+
+class ProductSpace:
+    """The cartesian product of a few sequences, in row-major order, as a
+    sized and indexable sequence that is never built: entry k is decoded
+    from k, and iteration is itertools.product."""
+
+    __slots__ = ("factors",)
+
+    def __init__(self, *factors):
+        self.factors = factors
+
+    def __len__(self) -> int:
+        return math.prod(map(len, self.factors))
+
+    def __getitem__(self, k: int) -> tuple:
+        if not 0 <= k < len(self):
+            raise IndexError(k)
+        out = []
+        for f in reversed(self.factors):
+            k, j = divmod(k, len(f))
+            out.append(f[j])
+        return tuple(reversed(out))
+
+    def __iter__(self):
+        return itertools.product(*self.factors)
+
 
 def _pair(sep: str, p: str = "x", q: str = "y"):
     return lambda i, a, b: (f"i={i} {a}{sep}{b}", {p: str(a), q: str(b)})
@@ -195,6 +223,11 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
     the given levels; otherwise `samples` instances per family are drawn
     with the seeded generator.  Failures carry witnesses.
 
+    Exhaustive sweeps iterate their instance pools without copying them.
+    The gamma-cocycle triples of level-i vertices (252^3, about 16M, at
+    level 1 on D2 r4) are a ProductSpace: a sampled sweep draws triples by
+    index, in the same order as from the built list, and never builds it.
+
     The rules ask for the same transporter many times over, so delta_xy,
     gamma_xy and tau_XY (one memo per level, as the component graph is
     per level) are each evaluated once per argument pair; the memos live
@@ -210,10 +243,8 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
     rep = TransportReport(truncation=radius)
 
     def sample(pool, n):
-        if not pool:
-            return []
         if samples == 0 or len(pool) <= n:
-            return list(pool)
+            return pool
         return [pool[rng.randrange(len(pool))] for _ in range(n)]
 
     small_words = W.enumerate_words(d, 2, [1, 2])
@@ -274,8 +305,7 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
                     i, x, y)
             if x[1] == y[1]:  # same Delta-orbit: the Gamma0 part must vanish
                 rep.add("gamma-in-delta", g[0] == d.ident0, i, x, y)
-        triples = [(x, y, z) for x in vs for y in vs for z in vs]
-        for x, y, z in sample(triples, samples):
+        for x, y, z in sample(ProductSpace(vs, vs, vs), samples):
             lhs = W.gamma_mul(d, gxy(y, z), gxy(x, y))
             rep.add("gamma-cocycle", lhs == gxy(x, z), i, x, y, z)
 

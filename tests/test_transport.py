@@ -1,8 +1,11 @@
 import functools
 import hashlib
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import gamma_identity, twisted_datum
 from nagaotree import algebra as A
@@ -274,6 +277,52 @@ def test_verify_transport_sampled_d2(d2):
     assert rep.total == 1190
     assert _digest(rep) == ("0b873ee929f39b48cb5a1f60ab738a1f"
                             "0399511dc3473a7a112a5a6dea5c09b9")
+
+
+@pytest.mark.parametrize("name, radius, samples, seed, total, digest", [
+    # the sampled sweep of the sweep-sampled benchmark and of CI
+    ("D2", 4, 24, 1, 1169, "74c2d5da09b8447a2572237f2d107ee0"
+                           "a969f268532058baf8f8cba14f75c7ad"),
+    ("D0", 5, 30, 5, 819, "85865d9332e8964ed1ffe61fedb439b8"
+                          "1f6b3679f6be7d33b00b92ec851b010f"),
+])
+def test_verify_transport_sampled_digests(name, radius, samples, seed, total,
+                                          digest):
+    rep = TR.verify_transport(D.builtin(name), radius, levels=(1, 2),
+                              samples=samples, seed=seed)
+    assert rep.passed
+    assert rep.total == total
+    assert _digest(rep) == digest
+
+
+def test_sampled_sweep_builds_no_cubic_pool(d2):
+    # D2 r4 has 252 level-1 vertices: a built gamma-cocycle triple list
+    # alone is about 1.1 GB, the sampled sweep about 15 MB
+    T.ball(d2, T.base_vertex(), 4)
+    tracemalloc.start()
+    try:
+        TR.verify_transport(d2, 4, samples=24, seed=9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20
+
+
+SEQS = st.lists(st.integers(), max_size=5)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEQS, SEQS, SEQS)
+@example([7], [8], [9])
+@example([1, 2], [], [3])
+def test_product_space_is_the_nested_comprehension(xs, ys, zs):
+    space = TR.ProductSpace(xs, ys, zs)
+    nested = [(x, y, z) for x in xs for y in ys for z in zs]
+    assert [space[k] for k in range(len(space))] == nested
+    assert list(space) == nested
+    assert bool(space) == (len(space) > 0)
+    with pytest.raises(IndexError):
+        space[len(space)]
 
 
 def test_fault_injection_is_detected():
