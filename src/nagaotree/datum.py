@@ -30,6 +30,13 @@ class RootData:
         return self.group.order
 
 
+def _schedule_entry(prefix: tuple, period: tuple, j: int):
+    """Entry j >= 1 of the schedule prefix, period, period, ..."""
+    if j <= len(prefix):
+        return prefix[j - 1]
+    return period[(j - 1 - len(prefix)) % len(period)]
+
+
 @dataclass(frozen=True)
 class LevelProfile:
     """The degree schedule q_i, with q_0 = k - 1 and q_i = |U_i| for i >= 1."""
@@ -41,10 +48,7 @@ class LevelProfile:
     def q(self, i: int) -> int:
         if i == 0:
             return self.k - 1
-        j = i - 1
-        if j < len(self.q_prefix):
-            return self.q_prefix[j]
-        return self.q_period[(j - len(self.q_prefix)) % len(self.q_period)]
+        return _schedule_entry(self.q_prefix, self.q_period, i)
 
     def degree(self, level: int) -> int:
         return self.k if level == 0 else self.q(level) + 1
@@ -121,10 +125,7 @@ class NagaoDatum:
     def root(self, j: int) -> RootData:
         if j < 1:
             raise BadSchedule(f"root groups are indexed from 1, got {j}")
-        idx = j - 1
-        if idx < len(self.prefix):
-            return self.prefix[idx]
-        return self.period[(idx - len(self.prefix)) % len(self.period)]
+        return _schedule_entry(self.prefix, self.period, j)
 
     def _root_tables(self, j: int) -> tuple:
         rd = self.root(j)

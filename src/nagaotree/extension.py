@@ -113,29 +113,25 @@ def _check_partial_iso(d: NagaoDatum, pairs: dict[Vertex, Vertex],
     adjacency-preserving, and level-preserving when required."""
     if not pairs:
         raise NotIsomorphism("empty map")
-    images = set(pairs.values())
-    if len(images) != len(pairs):
+    if len(set(pairs.values())) != len(pairs):
         raise NotIsomorphism("map is not injective")
     if require_levels:
         for v, img in pairs.items():
             if v[2] != img[2]:
                 raise NotLevelPreserving(f"{v} (level {v[2]}) -> {img} (level {img[2]})")
-    dom = set(pairs)
-    # connectivity and adjacency preservation in one sweep
-    root = min(dom, key=T.address_key)
-    seen = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
+
+    def preserved_edges(v: Vertex) -> list[Vertex]:
+        """The domain neighbors of v, each edge's images checked adjacent."""
         img_nbrs = set(T.neighbors(d, pairs[v]))
-        for u in T.neighbors(d, v):
-            if u in dom:
-                if pairs[u] not in img_nbrs:
-                    raise NotIsomorphism(f"edge {v}~{u} not preserved")
-                if u not in seen:
-                    seen.add(u)
-                    stack.append(u)
-    if seen != dom:
+        nbrs = [u for u in T.neighbors(d, v) if u in pairs]
+        for u in nbrs:
+            if pairs[u] not in img_nbrs:
+                raise NotIsomorphism(f"edge {v}~{u} not preserved")
+        return nbrs
+
+    # one walk checks connectivity and edges, looking only at what it reaches
+    root = min(pairs, key=T.address_key)
+    if len(T.bfs_depths([root], preserved_edges)) != len(pairs):
         raise NotIsomorphism("domain is not a connected subtree")
 
 

@@ -96,8 +96,7 @@ def horoballs(t: TruncatedTree, i: int) -> tuple[Piece, ...]:
     """The in-ball level-i horoballs, one per horosphere, in order of least
     vertex id (in a ball about the base vertex, a horosphere vertex)."""
     if i == 0:
-        raise LevelZeroBase(
-            f"{t.center} has level 0: horoballs need positive level")
+        raise LevelZeroBase(f"level {i}: horoballs need positive level")
     return level_cut(t, i, True)[0]
 
 

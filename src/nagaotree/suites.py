@@ -17,9 +17,6 @@ from . import words as W
 from .datum import NagaoDatum
 from .serialize import Tally
 
-SUITE_NAMES = ("degrees", "transitivity", "horoball", "transport", "li", "codist")
-
-
 @dataclass
 class SuiteReport(Tally):
     suite: str
@@ -117,14 +114,14 @@ def suite_transport(d: NagaoDatum, radius: int, levels=(1, 2),
     return rep
 
 
-def suite_li(d: NagaoDatum, radius: int, levels=(1, 2), word_len: int = 2,
-             support: int = 3) -> SuiteReport:
+def suite_li(d: NagaoDatum, radius: int, levels=(1, 2)) -> SuiteReport:
     """Free-product words produce valid level-i membership certificates.
 
     A certificate whose condition (a) saw no level-i horoball in view and
     which names no other violation is skipped, as `info["skipped"]`."""
     rep = SuiteReport("li")
     t = T.ball(d, T.base_vertex(), radius)
+    word_len, support = (2, 3) if d.k <= 3 else (1, 2)
     pool = W.enumerate_words(d, word_len, list(range(1, support + 1)))
     for i in levels:
         for w in pool:
@@ -166,34 +163,34 @@ def suite_codist(d: NagaoDatum, radius: int) -> SuiteReport:
     return rep
 
 
+# each suite run from (datum, radius, levels, samples, seed)
+_SUITES = {
+    "degrees": lambda d, r, levels, n, seed: suite_degrees(d, r),
+    "transitivity": lambda d, r, levels, n, seed: suite_transitivity(d, r),
+    "horoball": lambda d, r, levels, n, seed:
+        suite_horoball(d, r, max_i=max(3, levels[-1])),
+    "transport": lambda d, r, levels, n, seed:
+        suite_transport(d, min(r, 5), levels=levels, samples=n, seed=seed),
+    "li": lambda d, r, levels, n, seed: suite_li(d, r, levels=levels),
+    "codist": lambda d, r, levels, n, seed: suite_codist(d, r),
+}
+SUITE_NAMES = tuple(_SUITES)
+
+
 def run_suites(d: NagaoDatum, radius: int, names=SUITE_NAMES, samples: int = 0,
                seed: int = 0, level: int = 2) -> list[SuiteReport]:
-    """Run the named suites on the radius-`radius` ball of `d`.
+    """Run the named suites on the radius-`radius` ball of `d`; an unknown
+    name is refused before any suite runs.
 
     `level` has a floor of 2: the transport and li suites check the levels
     1..max(2, level), and the horoball suite goes up to max(3, level), so
     level 1 runs exactly what level 2 runs.  The CLI default is level 1
-    and every pinned report depends on it, so the floor stays.
+    and every pinned report depends on it, so the floor stays.  The
+    transport suite runs at radius min(radius, 5), and its report does not
+    say so (ROADMAP item 2).
     """
-    levels = tuple(range(1, max(2, level) + 1))
-    out = []
     for name in names:
-        if name == "degrees":
-            out.append(suite_degrees(d, radius))
-        elif name == "transitivity":
-            out.append(suite_transitivity(d, radius))
-        elif name == "horoball":
-            out.append(suite_horoball(d, radius, max_i=max(3, level)))
-        elif name == "transport":
-            out.append(suite_transport(d, min(radius, 5), levels=levels,
-                                       samples=samples, seed=seed))
-        elif name == "li":
-            word_len = 2 if d.k <= 3 else 1
-            support = 3 if d.k <= 3 else 2
-            out.append(suite_li(d, radius, levels=levels,
-                                word_len=word_len, support=support))
-        elif name == "codist":
-            out.append(suite_codist(d, radius))
-        else:
+        if name not in _SUITES:
             raise ValueError(f"unknown suite {name!r}")
-    return out
+    levels = tuple(range(1, max(2, level) + 1))
+    return [_SUITES[name](d, radius, levels, samples, seed) for name in names]

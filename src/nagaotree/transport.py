@@ -221,7 +221,11 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
 
     With samples == 0 the sweep is exhaustive over the in-ball instances at
     the given levels; otherwise `samples` instances per family are drawn
-    with the seeded generator.  Failures carry witnesses.
+    with the seeded generator.  Failures carry witnesses.  Three rules
+    leave instances out uncounted (ROADMAP item 3): `tau-equivariance`
+    drops an instance whose images leave the ball, `tau-path-independence`
+    a pair whose random walks find no path, and `tau-maps-onto` compares
+    only the in-ball part of the image.
 
     Exhaustive sweeps iterate their instance pools without copying them.
     The gamma-cocycle triples of level-i vertices (252^3, about 16M, at

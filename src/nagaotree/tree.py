@@ -101,10 +101,10 @@ def neighbors(d: NagaoDatum, v: Vertex, checked: bool = True) -> list[Vertex]:
 class TruncatedTree:
     """Radius-rho ball around a center vertex, with exact addresses.
 
-    Vertices are indexed in BFS discovery order; `parent` gives the tree
-    structure toward the center, `adj` the full in-ball adjacency, each list
-    with the BFS parent first and then the children in increasing id.  A
-    vertex is interior when all its tree neighbors lie in the ball.
+    Vertices are indexed in BFS discovery order; `adj` is the full in-ball
+    adjacency, each list with the BFS parent first (none for the center)
+    and then the children in increasing id.  A vertex is interior when all
+    its tree neighbors lie in the ball.
     """
 
     datum: NagaoDatum
@@ -113,7 +113,6 @@ class TruncatedTree:
     verts: list[Vertex]
     index: dict[Vertex, int]
     dist: list[int]
-    parent: list[int]
     adj: list[list[int]]
 
     @property
@@ -192,7 +191,6 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
     verts = [center]
     index = {center: 0}
     dist = [0]
-    parent = [-1]
     adj: list[list[int]] = [[]]
     frontier = [0]
     for depth in range(1, radius + 1):
@@ -206,7 +204,6 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
                     verts.append(u)
                     index[u] = uid
                     dist.append(depth)
-                    parent.append(vid)
                     adj.append([])
                     adj[vid].append(uid)
                     adj[uid].append(vid)
@@ -214,7 +211,7 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
                 # an already-seen neighbor is the BFS parent: edge recorded
         frontier = nxt
     return TruncatedTree(datum=d, center=center, radius=radius, verts=verts,
-                         index=index, dist=dist, parent=parent, adj=adj)
+                         index=index, dist=dist, adj=adj)
 
 
 def distance(t: TruncatedTree, a: Vertex, b: Vertex) -> int:
@@ -229,22 +226,16 @@ def geodesic(t: TruncatedTree, a: Vertex, b: Vertex) -> list[Vertex]:
 
 def geodesic_ids(t: TruncatedTree, ia: int, ib: int) -> list[int]:
     """The ids along the unique tree path between two ball vertex ids."""
-    up_a = [ia]
-    up_b = [ib]
-    da, db = t.dist[ia], t.dist[ib]
-    while da > db:
-        ia = t.parent[ia]
-        up_a.append(ia)
-        da -= 1
-    while db > da:
-        ib = t.parent[ib]
-        up_b.append(ib)
-        db -= 1
+    adj, dist = t.adj, t.dist  # the BFS parent of v is adj[v][0]
+    up_a, up_b = [ia], [ib]
+    # climb from the deeper end until the two ends meet at the branch point
     while ia != ib:
-        ia = t.parent[ia]
-        ib = t.parent[ib]
-        up_a.append(ia)
-        up_b.append(ib)
+        if dist[ia] >= dist[ib]:
+            ia = adj[ia][0]
+            up_a.append(ia)
+        else:
+            ib = adj[ib][0]
+            up_b.append(ib)
     return up_a + up_b[-2::-1]
 
 
@@ -319,9 +310,6 @@ def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
         return LevelReconstruction(levels={})
     prof = t.datum.profile
     top = 2 * t.radius + 2
-    kids: list[list[int]] = [[] for _ in range(t.n)]
-    for vid in range(1, t.n):
-        kids[t.parent[vid]].append(vid)
     allowed = [
         [m for m in range(top + 1) if prof.degree(m) == t.degree(vid)]
         if t.is_interior(vid) else range(top + 1)
@@ -342,9 +330,9 @@ def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
         """2*[child c fits at m+1] + [c fits at m-1], its parent at m."""
         return 2 * ((m + 1, m) in sub[c]) + ((m - 1, m) in sub[c])
 
-    def tally(vid: int, m: int) -> list[int]:
+    def tally(kids: list[int], m: int) -> list[int]:
         count = [0, 0, 0, 0]
-        for c in kids[vid]:
+        for c in kids:
             count[kind(c, m)] += 1
         return count
 
@@ -357,18 +345,20 @@ def level_from_degrees(t: TruncatedTree) -> LevelReconstruction:
         return count[2] <= 1 - ups <= count[2] + count[3]
 
     for vid in reversed(range(t.n)):
+        kids = t.adj[vid][1:] if vid else t.adj[0]
         for m in allowed[vid]:
-            count = tally(vid, m)
+            count = tally(kids, m)
             sub[vid].update((m, p) for p in parent_labels(vid, m)
                             if fits(vid, m, p == m + 1, count))
     rest[0] = {(m, None) for m in range(top + 1)}
     for vid in range(t.n):
+        kids = t.adj[vid][1:] if vid else t.adj[0]
         for m in allowed[vid]:
             above = [p for p in parent_labels(vid, m) if (m, p) in rest[vid]]
             if not above:
                 continue
-            count = tally(vid, m)
-            for c in kids[vid]:
+            count = tally(kids, m)
+            for c in kids:
                 own = kind(c, m)
                 count[own] -= 1
                 for mc in (m - 1, m + 1):

@@ -8,6 +8,7 @@ from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
 from nagaotree import serialize as S
+from nagaotree import suites as SU
 from nagaotree import tree as T
 from nagaotree import words as W
 
@@ -155,6 +156,14 @@ def test_suite_unknown_name_exit_2(capsys):
                               "--suites", "degrees,foo")
     assert code == 2 and out == ""
     assert err.startswith("invalid config: unknown suites foo;")
+
+
+def test_run_suites_refuses_unknown_name_before_any_suite(d0, monkeypatch):
+    ran = []
+    monkeypatch.setattr(SU, "suite_degrees", lambda *args: ran.append(args))
+    with pytest.raises(ValueError, match="'nope'"):
+        SU.run_suites(d0, 2, names=("degrees", "nope"))
+    assert ran == []
 
 
 def test_suite_negative_samples_exit_2(capsys):

@@ -70,6 +70,27 @@ def test_greedy_rejects_non_isomorphism(d0, ball_d0_6):
         E.greedy_extend(ball_d0_6, psi)
 
 
+@pytest.mark.parametrize("case,message", [
+    ("empty", "empty map"),
+    ("non-injective", "map is not injective"),
+    ("disconnected", "domain is not a connected subtree"),
+    # the walk validates only the vertices it reaches from the least
+    # address, so an unreachable non-canonical address is not looked at
+    ("disconnected-non-canonical", "domain is not a connected subtree"),
+])
+def test_greedy_rejects_malformed_domain(d0, ball_d0_6, case, message):
+    x0, x2 = T.base_vertex(), T.ray_vertex(2)
+    pairs = {
+        "empty": {},
+        "non-injective": {T.ray_vertex(1): T.ray_vertex(1),
+                          T.ray_vertex(1, 2): T.ray_vertex(1)},
+        "disconnected": {x0: x0, x2: x2},
+        "disconnected-non-canonical": {x0: x0, (W.EMPTY, 0, 2): (W.EMPTY, 0, 2)},
+    }[case]
+    with pytest.raises(NotIsomorphism, match=message):
+        E.greedy_extend(ball_d0_6, E.TreeMap(d0, pairs))
+
+
 def test_greedy_deterministic(d0, ball_d0_6):
     x0, x1 = T.base_vertex(), T.ray_vertex(1)
     u_x0 = T.act_word(d0, W.generator(1, 1, 1), x0)
@@ -152,7 +173,7 @@ def test_check_li_catches_horoball_violation(d0, ball_d0_6):
 
 
 def _li_pool(d):
-    """The word pool of the li suite, with its run_suites settings."""
+    """The word pool of the li suite, as suite_li chooses it from k."""
     word_len, support = (2, 3) if d.k <= 3 else (1, 2)
     return W.enumerate_words(d, word_len, list(range(1, support + 1)))
 

@@ -30,6 +30,17 @@ def test_level_increasing_ray(d0):
         level_increasing_ray(d0, T.base_vertex(), 1)
 
 
+def test_level_zero_horoballs_refused(d0):
+    # the ball's center is at level 2, so a message naming it as the
+    # level-0 vertex would be wrong
+    t = T.ball(d0, T.ray_vertex(2), 3)
+    with pytest.raises(LevelZeroBase, match="level 0") as exc:
+        H.horoballs(t, 0)
+    assert str(t.center) not in str(exc.value)
+    with pytest.raises(LevelZeroBase):
+        H.horoball(t, T.base_vertex())
+
+
 def test_horosphere_is_orbit_of_high_syllables(d0):
     # the level-1 standard horosphere is the orbit of x_1 under words
     # supported strictly above level 1 at ray 1, and the action is free
@@ -123,7 +134,7 @@ def test_component_graph_cycle_raises_under_python_O():
         adj[ib].append(ia)
         bad = T.TruncatedTree(datum=d, center=t.center, radius=t.radius,
                               verts=t.verts, index=t.index, dist=t.dist,
-                              parent=t.parent, adj=adj)
+                              adj=adj)
         try:
             H.component_graph(bad, 1)
         except NagaoError as exc:

@@ -75,7 +75,7 @@ def test_edge_rows_in_order_without_sort(name):
     # adj[a]: the BFS parent first, then the children in increasing id
     for a in range(t.n):
         kids = t.adj[a] if a == 0 else t.adj[a][1:]
-        assert a == 0 or t.adj[a][0] == t.parent[a]
+        assert a == 0 or t.dist[t.adj[a][0]] == t.dist[a] - 1
         assert kids == sorted(kids) and all(b > a for b in kids)
     rows = t.to_json()["edges"]
     pairs = sorted([a, b] for a in range(t.n) for b in t.adj[a] if a < b)
@@ -152,6 +152,19 @@ def test_distance_and_geodesic(d0, ball_d0_6):
     assert m22 == {T.ray_vertex(1), u_x1}
     with pytest.raises(NotInTruncation):
         T.distance(t, x0, (W.EMPTY, 1, 9))
+
+
+@pytest.mark.parametrize("name,radius", [("D0", 5), ("D1", 5), ("D2", 3),
+                                         ("D3", 5)])
+def test_geodesic_ids_are_ball_paths(name, radius):
+    t = T.ball(D.builtin(name), T.base_vertex(), radius)
+    rng = random.Random(radius)
+    for _ in range(25):
+        a, b = rng.randrange(t.n), rng.randrange(t.n)
+        path = T.geodesic_ids(t, a, b)
+        assert path[0] == a and path[-1] == b
+        assert all(v in t.adj[u] for u, v in zip(path, path[1:]))
+        assert len(path) - 1 == T.bfs_depths([a], t.adj.__getitem__)[b]
 
 
 def test_bfs_depths_match_ball_distances(ball_d0_6):
