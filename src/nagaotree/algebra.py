@@ -30,13 +30,6 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
-    def elements(self) -> range:
-        return range(self.order)
-
-    def conjugate(self, g: int, x: int) -> int:
-        """g * x * g^-1."""
-        return self.table[self.table[g][x]][self.inverse[g]]
-
     def to_json(self) -> dict:
         return {"order": self.order, "table": [list(r) for r in self.table]}
 
@@ -149,45 +142,30 @@ def generated_subgroup(parent: FiniteGroup, gens: Iterable[int]) -> SubgroupHand
     return SubgroupHandle(parent=parent, members=tuple(sorted(elems)))
 
 
-def coset_reps(group: FiniteGroup, sub: SubgroupHandle) -> tuple[int, ...]:
-    """Ordered left-coset representatives of `sub` in `group`.
+def cosets(group: FiniteGroup, sub: SubgroupHandle
+           ) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+    """Ordered left-coset representatives of `sub` in `group`, and for each
+    g the unique (s, h) with g = reps[s] * h, h in the subgroup.
 
     The first representative is the identity; every other coset is
     represented by its minimal element index, so the output is canonical.
+    `s` is the 0-based position in `reps`.
     """
     if sub.parent is not group and sub.parent != group:
         raise NotSubgroup("subgroup handle belongs to a different parent group")
     if group.order % sub.order != 0:
         raise NotSubgroup("subgroup order does not divide the group order")
-    seen = [False] * group.order
-    reps = [group.identity]
-    for h in sub.members:
-        seen[group.mul(group.identity, h)] = True
-    for g in range(group.order):
-        if seen[g]:
+    decomp: list = [None] * group.order
+    reps: list[int] = []
+    for g in (group.identity, *range(group.order)):
+        if decomp[g] is not None:
             continue
-        reps.append(g)
         for h in sub.members:
-            seen[group.mul(g, h)] = True
+            decomp[group.mul(g, h)] = (len(reps), h)
+        reps.append(g)
     if len(reps) * sub.order != group.order:
         raise NotSubgroup("cosets do not partition the group")
-    return tuple(reps)
-
-
-def coset_decomposition(group: FiniteGroup, sub: SubgroupHandle,
-                        reps: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """For each g, the unique (s, h) with g = reps[s] * h, h in the subgroup.
-
-    `s` is the 0-based position in `reps`.
-    """
-    rep_of = {}
-    for s, r in enumerate(reps):
-        for h in sub.members:
-            g = group.mul(r, h)
-            if g in rep_of:
-                raise NotSubgroup("coset representatives overlap")
-            rep_of[g] = (s, h)
-    return tuple(rep_of[g] for g in range(group.order))
+    return tuple(reps), tuple(decomp)
 
 
 @dataclass(frozen=True)
@@ -203,9 +181,6 @@ class GroupAction:
     target: FiniteGroup
     rows: dict[int, tuple[int, ...]]
 
-    def apply(self, h: int, u: int) -> int:
-        return self.rows[h][u]
-
     def to_json(self) -> dict:
         return {str(h): list(r) for h, r in sorted(self.rows.items())}
 
@@ -216,22 +191,14 @@ def trivial_action(acting: SubgroupHandle, target: FiniteGroup) -> GroupAction:
                        rows={h: ident for h in acting.members})
 
 
-@dataclass
-class ActionReport:
-    violations: list[dict]
-
-    @property
-    def valid(self) -> bool:
-        return not self.violations
-
-
-def validate_action(action: GroupAction) -> ActionReport:
+def validate_action(action: GroupAction) -> list[dict]:
     """Check that every acting element induces an automorphism of the target
     and that the assignment h -> theta_h is a homomorphism.
 
-    Failures are collected into the report rather than raised.  A missing
-    row, or one of the wrong length or with images outside the target, is
-    a `row-shape` violation and takes no part in the other checks.
+    The violations are returned, empty for a valid action, never raised.
+    A missing row, or one of the wrong length or with images outside the
+    target, is a `row-shape` violation and takes no part in the other
+    checks.
     """
     violations: list[dict] = []
     tgt = action.target
@@ -275,7 +242,7 @@ def validate_action(action: GroupAction) -> ActionReport:
             if any(r12[u] != r1[r2[u]] for u in range(n)):
                 violations.append({"rule": "composition", "h1": h1, "h2": h2})
                 break
-    return ActionReport(violations)
+    return violations
 
 
 # -- stock groups -------------------------------------------------------------

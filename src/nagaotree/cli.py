@@ -91,10 +91,12 @@ def _sink(cfg: RunConfig):
         yield sys.stdout.write
 
 
-def _emit(cfg: RunConfig, payload: dict) -> None:
-    """Stream the canonical JSON text of a report to the sink."""
+def _report(cfg: RunConfig, command: str, ok: bool, **fields) -> int:
+    """Stream the canonical JSON text of the report {"command", "ok",
+    **fields} to the sink; return 0 when ok, else 1 (probe failure)."""
     with _sink(cfg) as write:
-        S.write_canonical(payload, write)
+        S.write_canonical({"command": command, "ok": ok, **fields}, write)
+    return EXIT_PASS if ok else EXIT_PROBE_FAILURE
 
 
 # what a malformed datum or map file raises
@@ -104,21 +106,14 @@ INPUT_ERRORS = (NagaoError, ValueError, LookupError, TypeError,
 
 def _fail(cfg: RunConfig, command: str, exc: Exception, code: int) -> int:
     """Emit the error report of a refused command and return its exit code."""
-    _emit(cfg, {"command": command, "ok": False,
-                "error": type(exc).__name__, "detail": str(exc)})
+    _report(cfg, command, False, error=type(exc).__name__, detail=str(exc))
     return code
 
 
 def cmd_validate(cfg: RunConfig, d: D.NagaoDatum) -> int:
-    _emit(cfg, {
-        "command": "validate",
-        "ok": True,
-        "datum": d.name or cfg.datum,
-        "k": d.k,
-        "q": [d.q(i) for i in range(0, 8)],
-        "biregular": d.profile.biregular,
-    })
-    return EXIT_PASS
+    return _report(cfg, "validate", True, datum=d.name or cfg.datum, k=d.k,
+                   q=[d.q(i) for i in range(0, 8)],
+                   biregular=d.profile.biregular)
 
 
 def cmd_tree(cfg: RunConfig, d: D.NagaoDatum) -> int:
@@ -127,56 +122,35 @@ def cmd_tree(cfg: RunConfig, d: D.NagaoDatum) -> int:
         with _sink(cfg) as write:
             for line in S.tree_to_dot(t):
                 write(line)
-    else:
-        _emit(cfg, {"command": "tree", "ok": True, "tree": t.to_json()})
-    return EXIT_PASS
+        return EXIT_PASS
+    return _report(cfg, "tree", True, tree=t.to_json())
 
 
 def cmd_suite(cfg: RunConfig, d: D.NagaoDatum) -> int:
     reports = SU.run_suites(d, cfg.radius, names=cfg.suites,
                             samples=cfg.samples, seed=cfg.seed,
                             level=cfg.level)
-    ok = all(r.passed for r in reports)
-    _emit(cfg, {
-        "command": "suite",
-        "ok": ok,
-        "datum": d.name or cfg.datum,
-        "radius": cfg.radius,
-        "seed": cfg.seed,
-        "reports": [r.to_json() for r in reports],
-    })
-    return EXIT_PASS if ok else EXIT_PROBE_FAILURE
+    return _report(cfg, "suite", all(r.passed for r in reports),
+                   datum=d.name or cfg.datum, radius=cfg.radius,
+                   seed=cfg.seed, reports=[r.to_json() for r in reports])
 
 
 def cmd_extend(cfg: RunConfig, d: D.NagaoDatum, phi: E.TreeMap) -> int:
     ext, report = E.density_pipeline(d, phi, cfg.radius,
                                      n_samples=max(cfg.samples, 4),
                                      seed=cfg.seed, record_instances=True)
-    _emit(cfg, {
-        "command": "extend",
-        "ok": report.passed,
-        "datum": d.name or cfg.datum,
-        "radius": cfg.radius,
-        "seed": cfg.seed,
-        "report": report.to_json(),
-        "extension": ext.to_json(),
-    })
-    return EXIT_PASS if report.passed else EXIT_PROBE_FAILURE
+    return _report(cfg, "extend", report.passed, datum=d.name or cfg.datum,
+                   radius=cfg.radius, seed=cfg.seed, report=report.to_json(),
+                   extension=ext.to_json())
 
 
 def cmd_codist(cfg: RunConfig, d: D.NagaoDatum) -> int:
     t = T.ball(d, T.base_vertex(), cfg.radius)
     table = TC.synthesize_codistance(t)
     rep = TC.verify_codist(table, t)
-    _emit(cfg, {
-        "command": "codist",
-        "ok": rep.passed,
-        "datum": d.name or cfg.datum,
-        "radius": cfg.radius,
-        "verification": rep.to_json(),
-        "table": table.to_json(),
-    })
-    return EXIT_PASS if rep.passed else EXIT_PROBE_FAILURE
+    return _report(cfg, "codist", rep.passed, datum=d.name or cfg.datum,
+                   radius=cfg.radius, verification=rep.to_json(),
+                   table=table.to_json())
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:

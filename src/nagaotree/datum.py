@@ -97,7 +97,8 @@ class NagaoDatum:
 
         _check_datum(gamma0, h0, prefix, period)
 
-        self.reps = algebra.coset_reps(gamma0, h0)
+        # decomp[g] = (s, h) with g = reps[s] * h, h in h0; s is 0-based
+        self.reps, decomp = algebra.cosets(gamma0, h0)
         self.k = len(self.reps)
         if self.k < 3:
             raise IndexTooSmall(f"index [Gamma0:H0] = {self.k} < 3 (need q_0 >= 2)")
@@ -106,13 +107,11 @@ class NagaoDatum:
             q_prefix=tuple(r.q for r in prefix),
             q_period=tuple(r.q for r in period),
         )
-        # decomp[g] = (s, h) with g = reps[s] * h, h in h0; s is 0-based
-        self.decomp = algebra.coset_decomposition(gamma0, h0, self.reps)
         # nav[g][s-1] = (s', h) with g * gamma_s = gamma_{s'} * h, h in h0,
         # for 1-based ray indices s and s'; gamma_s = reps[s-1]
         self.nav = tuple(
             tuple((s + 1, h) for s, h in
-                  (self.decomp[gamma0.mul(g, r)] for r in self.reps))
+                  (decomp[gamma0.mul(g, r)] for r in self.reps))
             for g in range(gamma0.order)
         )
         self.ident0 = gamma0.identity
@@ -150,9 +149,9 @@ def _check_datum(gamma0, h0, prefix, period):
             raise RootGroupTooSmall(f"|U| = {rd.group.order} < 2 in schedule slot {j}")
         if rd.action.target is not rd.group and rd.action.target != rd.group:
             raise BadAction(f"schedule slot {j}: action target is not the root group")
-        rep = algebra.validate_action(rd.action)
-        if not rep.valid:
-            raise BadAction(f"schedule slot {j}: {rep.violations[:3]}")
+        violations = algebra.validate_action(rd.action)
+        if violations:
+            raise BadAction(f"schedule slot {j}: {violations[:3]}")
 
 
 def _const_schedule(h0: SubgroupHandle, group: FiniteGroup) -> tuple[RootData, ...]:
@@ -187,12 +186,10 @@ def builtin(name: str) -> NagaoDatum:
     if name == "D3":
         g0 = algebra.cyclic_group(3)
         h0 = algebra.trivial_subgroup(g0)
-        c2 = RootData(group=algebra.cyclic_group(2),
-                      action=algebra.trivial_action(h0, algebra.cyclic_group(2)))
-        c3 = RootData(group=algebra.cyclic_group(3),
-                      action=algebra.trivial_action(h0, algebra.cyclic_group(3)))
         # odd slots C2, even slots C3
-        return NagaoDatum(g0, h0, (), (c2, c3), name="D3")
+        period = (_const_schedule(h0, algebra.cyclic_group(2))
+                  + _const_schedule(h0, algebra.cyclic_group(3)))
+        return NagaoDatum(g0, h0, (), period, name="D3")
     raise UnknownName(f"unknown builtin datum {name!r}; expected one of {BUILTIN_NAMES}")
 
 

@@ -61,9 +61,6 @@ class TreeMap:
         d = t.datum
         return cls(d, {v: T.act(d, g, v) for v in t.verts}, backing=g)
 
-    def __len__(self) -> int:
-        return len(self.pairs)
-
     def apply(self, v: Vertex) -> Optional[Vertex]:
         img = self.pairs.get(v)
         if img is None and self.backing is not None:
@@ -609,8 +606,7 @@ def _match_conjugate_to_word(t: TruncatedTree, Eg: TreeMap, m: Word):
     return (delta_prime, tally) if tally.passed else None
 
 
-def select_truncation_level(d: NagaoDatum, t: TruncatedTree,
-                            vertices) -> int:
+def select_truncation_level(t: TruncatedTree, vertices) -> int:
     """The level bound used by the density pipeline.
 
     Biregular data: any bound >= 2 makes the bounded piece non-biregular, so
@@ -618,7 +614,7 @@ def select_truncation_level(d: NagaoDatum, t: TruncatedTree,
     Either way the bound grows until the given vertices sit inside the
     bounded component of the base vertex (checked on the truncation).
     """
-    prof = d.profile
+    prof = t.datum.profile
     if prof.biregular:
         i = 2
     else:
@@ -679,7 +675,7 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     for v in touched:
         if v not in t:
             raise CannotExtendInTruncation(f"{v} is outside the radius-{radius} ball")
-    i = select_truncation_level(d, t, touched)
+    i = select_truncation_level(t, touched)
     g = greedy_extend(t, phi, level_bound=i)
     Eg = extend_E(t, g, i)
     cert = check_Li(t, Eg, i, record_instances=record_instances)

@@ -24,9 +24,6 @@ class CodistanceTable:
     base_tag: ClassVar[str] = "v-"
     values: dict[Vertex, int]
 
-    def value(self, v: Vertex) -> int:
-        return self.values[v]
-
     def to_json(self) -> dict:
         """The report of the table, with its value rows, in address order,
         as `Rows`."""

@@ -206,6 +206,23 @@ def test_suite_empty_selection_exit_2(capsys):
     assert err == "invalid config: no suite selected\n"
 
 
+def test_tree_negative_radius_exit_2(capsys):
+    code, out, err = _refused(capsys, "tree", "--radius", "-1")
+    assert code == 2 and out == ""
+    assert err == "invalid config: radius must be nonnegative\n"
+
+
+def test_datum_file_empty_period_exit_2(tmp_path, capsys):
+    # a prefix alone is not an eventually periodic schedule
+    obj = dict(_OK_DATUM, roots={"prefix": [{"group": _C2}], "period": []})
+    code, out = run(capsys, "validate", "--datum",
+                    _json_file(tmp_path / "datum.json", obj))
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "validate", "ok": False, "error": "BadSchedule",
+        "detail": "schedule must be eventually periodic: empty period"}
+
+
 @pytest.mark.parametrize("command", ["validate", "suite", "extend", "codist"])
 def test_ignored_option_exit_2(command, capsys):
     # only tree writes dot; the other commands do not take --format
@@ -310,6 +327,20 @@ def test_extend_escaping_ball_exit_3(tmp_path, capsys):
                     "--phi", path)
     assert code == 3
     assert "CannotExtendInTruncation" in out
+
+
+def test_extend_non_adjacent_map_exit_2(tmp_path, capsys):
+    # level-preserving but not adjacency-preserving: the library refuses it
+    # inside the command, and the refusal is invalid input, not a truncation
+    d = D.builtin("D0")
+    x0, nb0 = T.base_vertex(), T.ray_vertex(1)
+    path = _phi_file(tmp_path, d, {
+        x0: x0, nb0: T.act_word(d, W.generator(2, 1, 1), nb0)})
+    code, out = run(capsys, "extend", "--datum", "D0", "--phi", path)
+    assert code == 2
+    assert json.loads(out) == {
+        "command": "extend", "ok": False, "error": "NotIsomorphism",
+        "detail": "edge ((), 0, 0)~((), 1, 1) not preserved"}
 
 
 def test_extend_bad_phi_exit_2(tmp_path, capsys):

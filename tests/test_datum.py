@@ -173,8 +173,9 @@ def test_nontrivial_action_datum_accepted():
     # h u h^-1 = theta_h(u) holds inside the product table
     for hm in h.members:
         for u in range(3):
-            lhs = vg.group.conjugate(vg.h0_embed[hm], vg.embed_root(1, u))
-            assert lhs == vg.embed_root(1, act.apply(hm, u))
+            g, tab = vg.h0_embed[hm], vg.group.table
+            lhs = tab[tab[g][vg.embed_root(1, u)]][vg.group.inverse[g]]
+            assert lhs == vg.embed_root(1, act.rows[hm][u])
 
 
 @pytest.mark.parametrize("i", [1, 2])

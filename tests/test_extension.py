@@ -108,7 +108,7 @@ def _seeded_swaps(d, t, rng, n=4):
     while len(out) < n:
         j, s = rng.choice((1, 2)), rng.randrange(1, d.k + 1)
         grp = d.root(j).group
-        u = rng.choice([x for x in grp.elements() if x != grp.identity])
+        u = rng.choice([x for x in range(grp.order) if x != grp.identity])
         down = T.ray_vertex(j - 1, s)
         path = (down, T.act_word(d, W.generator(s, j, u), down),
                 T.ray_vertex(j, s))
@@ -510,6 +510,28 @@ def test_type_preserving_shifts_levels(d0, ball_d0_6):
         for u in T.neighbors(d0, v):
             if u in out.pairs:
                 assert out.pairs[u] in nbrs
+
+
+def test_check_li_refuses_a_map_that_moves_levels(d0, ball_d0_6):
+    # the type-preserving extension above moves x0 to x2: no condition is
+    # evaluated, and the violation names the levels
+    x2 = T.ray_vertex(2)
+    n1 = sorted(T.neighbors(d0, T.base_vertex()), key=T.address_key)
+    n2 = sorted(T.neighbors(d0, x2), key=T.address_key)
+    pairs = {T.base_vertex(): x2, **dict(zip(n1, n2))}
+    out = E.extend_type_preserving(ball_d0_6, E.TreeMap(d0, pairs))
+    cert = E.check_Li(ball_d0_6, out, 1)
+    assert not cert.valid
+    assert cert.first_violation() == {"condition": "level", "witness": None}
+    for cond in (cert.condition_a, cert.condition_b):
+        assert (cond.checked, cond.skipped, cond.failures) == (0, 0, [])
+
+
+def test_extend_E_refuses_an_anchor_above_the_level(d0, ball_d0_6):
+    x3 = T.ray_vertex(3)
+    with pytest.raises(NotLevelPreserving,
+                       match=r"^domain vertex \(\(\), 1, 3\) has level > 1$"):
+        E.extend_E(ball_d0_6, E.TreeMap(d0, {x3: x3}), 1)
 
 
 def test_type_preserving_rejects_type_mismatch(d0, ball_d0_6):

@@ -333,7 +333,7 @@ def test_fault_injection_is_detected():
                             "0bf4028a00a80a0c092234e10c4f305d")
     bad = twisted_datum(corrupt=True)
     # the corruption is a non-action, caught by the algebra validator
-    assert not A.validate_action(bad.root(2).action).valid
+    assert A.validate_action(bad.root(2).action)
     # and it surfaces as transporter-rule counterexamples
     tr = TR.verify_transport(bad, 4, levels=(1, 2), samples=60, seed=13)
     assert not tr.passed

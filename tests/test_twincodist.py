@@ -7,12 +7,12 @@ from nagaotree import words as W
 
 def test_synthesized_values(d0, ball_d0_6):
     table = TC.synthesize_codistance(ball_d0_6)
-    assert table.value(T.base_vertex()) == 0
-    assert table.value(T.ray_vertex(3)) == 3
+    assert table.values[T.base_vertex()] == 0
+    assert table.values[T.ray_vertex(3)] == 3
     for vid in range(ball_d0_6.n):
         v = ball_d0_6.verts[vid]
         if v[2] == 0:
-            assert table.value(v) == 0
+            assert table.values[v] == 0
 
 
 def test_verify_codist_passes(d0, ball_d0_6):
@@ -39,10 +39,10 @@ def test_opposite_vertices_ascend_everywhere(d0, ball_d0_6):
     table = TC.synthesize_codistance(ball_d0_6)
     for vid in ball_d0_6.interior_ids():
         v = ball_d0_6.verts[vid]
-        if table.value(v) == 0:
+        if table.values[v] == 0:
             assert len(ball_d0_6.adj[vid]) == d0.k
             for uid in ball_d0_6.adj[vid]:
-                assert table.value(ball_d0_6.verts[uid]) == 1
+                assert table.values[ball_d0_6.verts[uid]] == 1
 
 
 def test_infinite_star_counts(d0):
