@@ -140,6 +140,8 @@ class NagaoDatum:
 def _check_datum(gamma0, h0, prefix, period):
     if h0.parent is not gamma0 and h0.parent != gamma0:
         raise NotSubgroup("h0 must be a subgroup handle of gamma0")
+    # a hand-built handle is refused as the loader refuses its member list
+    algebra.subgroup(gamma0, h0.members)
     if not period and not prefix:
         raise BadSchedule("root group schedule is empty")
     if not period:

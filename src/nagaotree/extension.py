@@ -43,10 +43,15 @@ from .words import Gamma, Word
 class TreeMap:
     """A partial injective map between vertex sets of the tree.
 
-    The finite graph of the map is stored explicitly; when the map is the
+    `pairs` is the explicit finite graph of the map.  When the map is the
     restriction of a known group element, that element is kept as a backing
-    so the map can be evaluated anywhere.  Domain vertices are addressed
-    symbolically, so images may lie outside any particular ball.
+    so the map can be evaluated anywhere: a vertex outside `pairs` takes
+    the backing image, formed on its first use and kept with the map.  An
+    element map (`from_element`) has no explicit graph at all, so a
+    certificate acts only on the vertices it reads; the extension
+    operators read `pairs` alone and refuse it as an empty map.  Domain
+    vertices are addressed symbolically, so images may lie outside any
+    particular ball.
     """
 
     def __init__(self, datum: NagaoDatum, pairs: dict[Vertex, Vertex],
@@ -55,16 +60,20 @@ class TreeMap:
         self.pairs = pairs
         self.backing = backing
         self._inverse: Optional[dict[Vertex, Vertex]] = None
+        self._images: dict[Vertex, Vertex] = {}
 
     @classmethod
     def from_element(cls, t: TruncatedTree, g: Gamma) -> "TreeMap":
-        d = t.datum
-        return cls(d, {v: T.act(d, g, v) for v in t.verts}, backing=g)
+        """The map of the group element g over the datum of t, evaluated on
+        demand."""
+        return cls(t.datum, {}, backing=g)
 
     def apply(self, v: Vertex) -> Optional[Vertex]:
         img = self.pairs.get(v)
         if img is None and self.backing is not None:
-            img = T.act(self.datum, self.backing, v)
+            img = self._images.get(v)
+            if img is None:
+                img = self._images[v] = T.act(self.datum, self.backing, v)
         return img
 
     def inverse_apply(self, v: Vertex) -> Optional[Vertex]:
@@ -107,7 +116,14 @@ class TreeMap:
 def _check_partial_iso(d: NagaoDatum, pairs: dict[Vertex, Vertex],
                        require_levels: bool) -> None:
     """Validate a map between subtrees: injective, connected domain,
-    adjacency-preserving, and level-preserving when required."""
+    adjacency-preserving, and level-preserving when required.
+
+    Each address is validated once.  The root (the least domain address)
+    and its image are validated up front, image first; the walk then reads
+    neighbor lists unchecked.  Every other domain vertex it reaches is a
+    `neighbors` output, and every other image is checked to lie in such a
+    list, so both are canonical without a second look.
+    """
     if not pairs:
         raise NotIsomorphism("empty map")
     if len(set(pairs.values())) != len(pairs):
@@ -119,8 +135,8 @@ def _check_partial_iso(d: NagaoDatum, pairs: dict[Vertex, Vertex],
 
     def preserved_edges(v: Vertex) -> list[Vertex]:
         """The domain neighbors of v, each edge's images checked adjacent."""
-        img_nbrs = set(T.neighbors(d, pairs[v]))
-        nbrs = [u for u in T.neighbors(d, v) if u in pairs]
+        img_nbrs = set(T.neighbors(d, pairs[v], checked=False))
+        nbrs = [u for u in T.neighbors(d, v, checked=False) if u in pairs]
         for u in nbrs:
             if pairs[u] not in img_nbrs:
                 raise NotIsomorphism(f"edge {v}~{u} not preserved")
@@ -128,6 +144,8 @@ def _check_partial_iso(d: NagaoDatum, pairs: dict[Vertex, Vertex],
 
     # one walk checks connectivity and edges, looking only at what it reaches
     root = min(pairs, key=T.address_key)
+    T.validate_address(d, pairs[root])
+    T.validate_address(d, root)
     if len(T.bfs_depths([root], preserved_edges)) != len(pairs):
         raise NotIsomorphism("domain is not a connected subtree")
 
@@ -166,6 +184,10 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
     degree of a vertex depends on its level alone, so v and its image have
     equally many free neighbors per class (for types, see
     `extend_type_preserving`): the raise below is an invariant check.
+
+    Neighbor lists are read unchecked: the input has just passed
+    `_check_partial_iso`, so its addresses are canonical, and every vertex
+    matched here is a `neighbors` output.
     """
     d = t.datum
     match: dict[Vertex, Vertex] = dict(pairs)
@@ -181,10 +203,11 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
     while stack:
         v = stack.pop()
         by_class: dict[int, list[Vertex]] = {}
-        for u in sorted(T.neighbors(d, match[v]), key=T.address_key):
+        for u in sorted(T.neighbors(d, match[v], checked=False),
+                        key=T.address_key):
             if in_bound(u) and u not in used:
                 by_class.setdefault(partner_class(u), []).append(u)
-        for u in sorted((u for u in T.neighbors(d, v)
+        for u in sorted((u for u in T.neighbors(d, v, checked=False)
                          if in_bound(u) and u not in match), key=T.address_key):
             partners = by_class.get(partner_class(u))
             if not partners:
@@ -198,6 +221,23 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
     return TreeMap(d, match)
 
 
+def _compare(pairs, image: Callable, names: tuple[str, ...],
+             head: tuple) -> tuple[int, Optional[dict]]:
+    """Compare image(point) with want over (point, want) pairs, a point in
+    view when its image is not None.  Returns the number of points in view
+    up to the first image != want, and that failure, naming `head`, the
+    point and both sides by `names` (None when every image agrees)."""
+    n = 0
+    for u, want in pairs:
+        got = image(u)
+        if got is None:
+            continue
+        n += 1
+        if got != want:
+            return n, dict(zip(names, map(str, (*head, u, got, want))))
+    return n, None
+
+
 @dataclass
 class ConditionStats(Tally):
     """The tally of one membership condition, with the points checked per
@@ -207,28 +247,22 @@ class ConditionStats(Tally):
 
     def tally(self, pairs, image: Callable, names: tuple[str, ...],
               head: tuple, record: Optional[dict]) -> bool:
-        """Tally one instance from its (point, want) pairs, a point in view
-        when image(point) is not None: skipped with none in view, else
-        counted, recorded with its number of points when `record` is given,
-        and failed at the first image != want, the failure naming `head`,
-        the point and both sides by `names`.  Returns whether it failed,
-        which ends the check."""
-        n = 0
-        failure = None
-        for u, want in pairs:
-            got = image(u)
-            if got is None:
-                continue
-            n += 1
-            if got != want:
-                failure = dict(zip(names, map(str, (*head, u, got, want))))
-                break
-        if n == 0:
+        """Tally one instance from its (point, want) pairs by `_compare`.
+        Returns whether it failed, which ends the check."""
+        return self.add(*_compare(pairs, image, names, head), record)
+
+    def add(self, points: int, failure: Optional[dict],
+            record: Optional[dict]) -> bool:
+        """Add one instance with `points` points in view: skipped with none,
+        else counted, recorded with its number of points when `record` is
+        given, and failed when `failure` is given.  Returns whether it
+        failed."""
+        if points == 0:
             self.skipped += 1
             return False
         self.count(failure)
         if record is not None:
-            self.instances.append({**record, "points": n})
+            self.instances.append({**record, "points": points})
         return failure is not None
 
     def to_json(self) -> dict:
@@ -288,20 +322,23 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     Instances whose data leave the truncation are counted as skipped, never
     silently passed.
 
-    Condition (a) forms the list (u, gamma_{x,y} . u) over a horoball once,
-    at its first base point x with y = h(x) in view, and tallies every base
-    point of the horosphere against that list; each base point is still its
-    own instance.  The reuse is exact.  For x' on the horosphere of x and
-    y' = gamma_{x,y} . x', gamma_{x',y'} = gamma_{x,y} on HB(x): write
-    w_{x'} = w_x delta sigma and w_{y'} = w_y rho(delta) sigma', where delta
-    is the one syllable at ray s_x supported above i, rho the trivial-twist
-    ray relabel s_x -> s_y of `transport.gamma_xy_on_horoball`, and sigma,
-    sigma' lie in U_{<=i} at their rays, so they fix HB pointwise and commute
-    with everything supported above i (Serre, Trees, ch. II 1.6).  The list
+    Condition (a) compares h with gamma_{x,y} on a horoball once, at its
+    first base point x with y = h(x) in view, and gives every later base
+    point in view that comparison's verdict and point count; each base
+    point is still its own instance.  The reuse is exact.  For x' on the
+    horosphere of x and y' = gamma_{x,y} . x', gamma_{x',y'} = gamma_{x,y}
+    on HB(x): write w_{x'} = w_x delta sigma and w_{y'} = w_y rho(delta)
+    sigma', where delta is the one syllable at ray s_x supported above i,
+    rho the trivial-twist ray relabel s_x -> s_y of
+    `transport.gamma_xy_on_horoball`, and sigma, sigma' lie in U_{<=i} at
+    their rays, so they fix HB pointwise and commute with everything
+    supported above i (Serre, Trees, ch. II 1.6).  The list
     holds (x', gamma_{x,y} . x') for every x' of the horosphere, and the
     check returns at its first failure, so a later x' with h(x') in view is
     reached only when h(x') = gamma_{x,y} . x', and its own list would be
-    the same.
+    the same.  The same list against the same map gives the same points in
+    view and no failure, so the later base point's own comparison would
+    return the first one's passing verdict and point count.
     """
     d = t.datum
     lp = h.is_level_preserving()
@@ -312,20 +349,21 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     if not lp:
         return cert
 
-    # condition (a): horoball restrictions, one image list per horoball
+    # condition (a): horoball restrictions, one comparison per horoball
     for hb in H.horoballs(t, i):
-        images = None
+        verdict = None
         for x_vid in hb.horosphere_ids():
             x = t.verts[x_vid]
             y = h.apply(x)
             if y is None:
                 ca.skipped += 1
                 continue
-            if images is None:
-                images = list(TR.gamma_xy_on_horoball(d, hb, x_vid, y))
+            if verdict is None:
+                verdict = _compare(TR.gamma_xy_on_horoball(d, hb, x_vid, y),
+                                   h.apply, ("x", "u", "h(u)", "gamma(u)"),
+                                   (x,))
             record = {"x": str(x), "h(x)": str(y)} if record_instances else None
-            if ca.tally(images, h.apply, ("x", "u", "h(u)", "gamma(u)"), (x,),
-                        record):
+            if ca.add(*verdict, record):
                 return cert
 
     # condition (b): transporter conjugation against the fixed base component

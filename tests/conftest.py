@@ -568,6 +568,32 @@ def check_li_oracle(t, h, i, record_instances=False):
     return dataclasses.replace(cert, condition_a=ca)
 
 
+def count_calls(monkeypatch, *targets) -> dict:
+    """Patch each (module, name) target to count its calls; returns the
+    live name -> count dict."""
+    calls = {}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return inner(*args)
+        calls[name] = 0
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in targets:
+        counted(module, name)
+    return calls
+
+
+def tabulated_map(t, g):
+    """The map of the group element g with its explicit graph over the
+    whole ball, which a test may then damage."""
+    d = t.datum
+    return E.TreeMap(d, {v: T.act(d, g, v) for v in t.verts}, backing=g)
+
+
 def rotating_star(d):
     """The map fixing the base vertex and sending x_{1,s} to x_{1,s+1}
     (mod k): every horoball it moves changes ray."""

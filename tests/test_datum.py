@@ -5,7 +5,7 @@ from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import words as W
 from nagaotree.errors import (BadAction, BadSchedule, IndexTooSmall,
-                              RootGroupTooSmall, UnknownName)
+                              NotSubgroup, RootGroupTooSmall, UnknownName)
 
 
 def test_d0_smallest_admissible(d0):
@@ -71,6 +71,22 @@ def test_bad_action_rejected():
     bad = A.GroupAction(acting=h, target=c4, rows=rows)
     with pytest.raises(BadAction):
         D.NagaoDatum(g, h, (), (D.RootData(group=c4, action=bad),))
+
+
+def test_hand_built_non_subgroup_rejected():
+    # {0, 1} is not a subgroup of C6, though its translates partition C6
+    g = A.cyclic_group(6)
+    c2 = A.cyclic_group(2)
+    obj = {"gamma0": g.to_json(), "h0": [0, 1],
+           "roots": {"period": [{"group": c2.to_json()}]}}
+    with pytest.raises(NotSubgroup) as loaded:
+        D.datum_from_json(obj)
+    h = A.SubgroupHandle(parent=g, members=(0, 1))
+    rd = D.RootData(group=c2, action=A.trivial_action(h, c2))
+    with pytest.raises(NotSubgroup) as built:
+        D.NagaoDatum(g, h, (), (rd,))
+    assert str(built.value) == str(loaded.value) == (
+        "member 1 has inverse outside the set")
 
 
 def test_unknown_builtin():

@@ -7,8 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (check_li_oracle, gamma_identity, greedy_match_oracle,
-                      reverse_component_graphs, rotating_star, twisted_datum)
+from conftest import (check_li_oracle, count_calls, gamma_identity,
+                      greedy_match_oracle, reverse_component_graphs,
+                      rotating_star, tabulated_map, twisted_datum)
 from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -16,9 +17,9 @@ from nagaotree import horo as H
 from nagaotree import tree as T
 from nagaotree import twincodist as TC
 from nagaotree import words as W
-from nagaotree.errors import (CannotExtendInTruncation, NotIsomorphism,
-                              NotLevelPreserving, TruncationExceeded,
-                              TypeMismatch)
+from nagaotree.errors import (CannotExtendInTruncation, NonCanonicalAddress,
+                              NotIsomorphism, NotLevelPreserving,
+                              TruncationExceeded, TypeMismatch)
 
 
 def base_component_map(d, t, i, g):
@@ -244,7 +245,7 @@ def test_check_li_matches_per_base_point_oracle(data):
     name = data.draw(st.sampled_from(sorted(_LI_ORACLE_BALLS)))
     d, t, levels, g0s, pool, by_level = _li_oracle_case(name)
     g = (data.draw(st.sampled_from(g0s)), data.draw(st.sampled_from(pool)))
-    h = E.TreeMap.from_element(t, g)
+    h = tabulated_map(t, g)
     if data.draw(st.booleans()):
         # damage: swap the images of two vertices of one level in 1..3
         same = data.draw(st.sampled_from(by_level))
@@ -265,7 +266,7 @@ def test_check_li_fails_at_the_first_base_point(name):
     # several base points: the first base point already fails, and its
     # witness is the oracle's
     d, t, _, g0s, pool, _ = _li_oracle_case(name)
-    h = E.TreeMap.from_element(t, (g0s[0], pool[-1]))
+    h = tabulated_map(t, (g0s[0], pool[-1]))
     hb = _first_multi_horoball(t, 1)
     a, b = [t.verts[u] for u in hb.vertex_ids if t.level(u) == 2][:2]
     h.pairs[a], h.pairs[b] = h.pairs[b], h.pairs[a]
@@ -280,11 +281,34 @@ def test_check_li_partial_map_skips_base_points(name, i):
     # the first base point of a horosphere is out of view, so its image list
     # is formed at the second one, and the skipped count is the oracle's
     d, t, _, g0s, pool, _ = _li_oracle_case(name)
-    pairs = E.TreeMap.from_element(t, (g0s[-1], pool[1])).pairs
+    pairs = tabulated_map(t, (g0s[-1], pool[1])).pairs
     del pairs[t.verts[_first_multi_horoball(t, i).horosphere_ids()[0]]]
     cert = _assert_matches_oracle(t, E.TreeMap(d, pairs), i)
     assert cert.condition_a.skipped >= 1
     assert cert.condition_a.checked >= 1
+
+
+# an element map against the same element tabulated over the whole ball
+_TABULATED_BALLS = {"D0": 6, "D1": 5, "D3": 5, "twisted": 4}
+
+
+@pytest.mark.parametrize("name", sorted(_TABULATED_BALLS))
+@pytest.mark.parametrize("i", [1, 2])
+def test_check_li_element_map_matches_tabulated_map(name, i):
+    d = twisted_datum() if name == "twisted" else D.builtin(name)
+    t = T.ball(d, T.base_vertex(), _TABULATED_BALLS[name])
+    rng = random.Random(41)
+    g0s = [g for g in range(d.gamma0.order) if g != d.ident0]
+    pool = _li_pool(d)
+    elems = [(rng.choice(g0s), rng.choice(pool)) for _ in range(4)]
+    elems.append((d.ident0, rng.choice(pool)))
+    for g in elems:
+        want = E.check_Li(t, tabulated_map(t, g), i,
+                          record_instances=True).to_json()
+        got = E.check_Li(t, E.TreeMap.from_element(t, g), i,
+                         record_instances=True).to_json()
+        assert got == want
+        assert want["condition_a"]["checked"] > 0
 
 
 def test_extend_E_identity_is_identity(d0, ball_d0_6):
@@ -534,6 +558,39 @@ def test_extend_E_refuses_an_anchor_above_the_level(d0, ball_d0_6):
         E.extend_E(ball_d0_6, E.TreeMap(d0, {x3: x3}), 1)
 
 
+# x_{1,1} under a name whose word U_{1,1} reduces away: not canonical
+_X1_UNREDUCED = (W.generator(1, 1, 1), 1, 1)
+
+
+@pytest.mark.parametrize("extend", [
+    E.greedy_extend, functools.partial(E.extend_E, i=1)],
+    ids=["greedy_extend", "extend_E"])
+@pytest.mark.parametrize("pairs, exc, message", [
+    # the root image is validated first
+    ({T.base_vertex(): ((), 1, 0)}, NonCanonicalAddress,
+     "level-0 address must carry s=0: ((), 1, 0)"),
+    # then the root
+    ({_X1_UNREDUCED: T.ray_vertex(1)}, NonCanonicalAddress,
+     "word not reduced modulo Stab(x_{1,1}): "
+     "(((1, ((1, 1),)),), 1, 1)"),
+    # a later image is tested against the root image's neighbors only
+    ({T.base_vertex(): T.base_vertex(), T.ray_vertex(1): _X1_UNREDUCED},
+     NotIsomorphism, "edge ((), 0, 0)~((), 1, 1) not preserved"),
+], ids=["root-image", "root", "later-image"])
+def test_extension_refuses_non_canonical_addresses(d0, ball_d0_6, extend,
+                                                   pairs, exc, message):
+    with pytest.raises(exc) as info:
+        extend(ball_d0_6, E.TreeMap(d0, pairs))
+    assert str(info.value) == message
+
+
+def test_extension_refuses_an_element_map(d0, ball_d0_6):
+    # an element map has no explicit graph; the operators read only that
+    h = E.TreeMap.from_element(ball_d0_6, gamma_identity(d0))
+    with pytest.raises(NotIsomorphism, match="^empty map$"):
+        E.extend_E(ball_d0_6, h, 1)
+
+
 def test_type_preserving_rejects_type_mismatch(d0, ball_d0_6):
     x1 = T.ray_vertex(1)
     n1 = sorted(T.neighbors(d0, x1), key=T.address_key)
@@ -630,20 +687,33 @@ def test_pipeline_pool_stays_near_the_ball(monkeypatch):
     # commensuration shifts per sample: forming either set up front costs
     # millions of calls
     d = D.builtin("D2")
-    calls = {"act_word": 0, "delta_mul": 0}
-
-    def counted(module, name):
-        inner = getattr(module, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return inner(*args)
-        monkeypatch.setattr(module, name, wrapper)
-
-    counted(T, "act_word")
-    counted(W, "delta_mul")
+    calls = count_calls(monkeypatch, (T, "act_word"), (W, "delta_mul"))
     x0 = T.base_vertex()
     phi = E.TreeMap(d, {v: v for v in [x0] + T.neighbors(d, x0)})
     _, rep = E.density_pipeline(d, phi, 3, n_samples=4, seed=0)
     assert rep.passed
     assert calls["act_word"] < 100_000 and calls["delta_mul"] < 100_000, calls
+
+
+# the work of a fixed membership batch: 400 certificates of Delta elements
+# on the D0 r6 ball and one density pipeline.  The ceilings are the counts
+# of maps evaluated where a certificate reads them and addresses validated
+# once per map check; tabulating every element over the ball (92,840 acts)
+# or validating every address a walk reaches (716 validations) exceeds them
+ACT_CEILING = 66_834
+VALIDATE_CEILING = 6
+
+
+def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
+    t = ball_d0_6
+    words = W.enumerate_words(d0, 3, [1, 2, 3])[:200]
+    phi = rotating_star(d0)
+    calls = count_calls(monkeypatch, (T, "act"), (T, "validate_address"))
+    for i in (1, 2):
+        for w in words:
+            h = E.TreeMap.from_element(t, (d0.ident0, w))
+            assert E.check_Li(t, h, i).valid
+    _, rep = E.density_pipeline(d0, phi, 6, n_samples=2, seed=0)
+    assert rep.certificate.valid
+    assert calls["act"] <= ACT_CEILING, calls
+    assert calls["validate_address"] <= VALIDATE_CEILING, calls

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_identity, twisted_datum
+from conftest import gamma_identity, tabulated_map, twisted_datum
 from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -181,7 +181,7 @@ def test_check_li_matches_gamma_xy_oracle(name, radius, monkeypatch):
     for h in list(maps):
         for lv in (1, 2):
             a, b = rng.sample([v for v in t.verts if v[2] == lv], 2)
-            pairs = dict(h.pairs)
+            pairs = tabulated_map(t, h.backing).pairs
             pairs[a], pairs[b] = pairs[b], pairs[a]
             maps.append(E.TreeMap(d, pairs))
 
