@@ -48,10 +48,10 @@ class TreeMap:
     so the map can be evaluated anywhere: a vertex outside `pairs` takes
     the backing image, formed on its first use and kept with the map.  An
     element map (`from_element`) has no explicit graph at all, so a
-    certificate acts only on the vertices it reads; the extension
-    operators read `pairs` alone and refuse it as an empty map.  Domain
-    vertices are addressed symbolically, so images may lie outside any
-    particular ball.
+    certificate acts only on the vertices it reads, and it keeps only its
+    ball's images; the extension operators read `pairs` alone and refuse
+    it as an empty map.  Domain vertices are addressed symbolically, so
+    images may lie outside any particular ball.
     """
 
     def __init__(self, datum: NagaoDatum, pairs: dict[Vertex, Vertex],
@@ -61,19 +61,23 @@ class TreeMap:
         self.backing = backing
         self._inverse: Optional[dict[Vertex, Vertex]] = None
         self._images: dict[Vertex, Vertex] = {}
+        self._kept: Optional[dict[Vertex, int]] = None  # None keeps all
 
     @classmethod
     def from_element(cls, t: TruncatedTree, g: Gamma) -> "TreeMap":
-        """The map of the group element g over the datum of t, evaluated on
-        demand."""
-        return cls(t.datum, {}, backing=g)
+        """The map of g on t's datum, evaluated on demand; keeps t's images."""
+        h = cls(t.datum, {}, backing=g)
+        h._kept = t.index
+        return h
 
     def apply(self, v: Vertex) -> Optional[Vertex]:
         img = self.pairs.get(v)
         if img is None and self.backing is not None:
             img = self._images.get(v)
             if img is None:
-                img = self._images[v] = T.act(self.datum, self.backing, v)
+                img = T.act(self.datum, self.backing, v)
+                if self._kept is None or v in self._kept:
+                    self._images[v] = img
         return img
 
     def inverse_apply(self, v: Vertex) -> Optional[Vertex]:

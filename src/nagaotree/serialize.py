@@ -142,11 +142,6 @@ def dumps_canonical(obj: Any) -> str:
     return "".join(parts)
 
 
-def dump_json(obj: Any, path: str) -> None:
-    with open(path, "w") as fh:
-        write_canonical(obj, fh.write)
-
-
 _LITERALS = {True: "true", False: "false", None: "null"}
 
 

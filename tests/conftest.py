@@ -14,7 +14,10 @@ greedy matcher, processed in address order by a heap, the per-base-point
 form of `check_Li` condition (a), the ray-rotating star map, and the
 reversed-walk patch of the component graph.  The small constructions below
 the fixtures (`gamma_identity`, `up_neighbor`, `inversion_action`,
-`component_graph_to_dot`) have no caller in the library.
+`component_graph_to_dot`) have no caller in the library.  The three star
+maps (`identity_star`, `rotating_star`, `swap_map`) are the oracles of the
+committed files under `maps/`.  `DIGESTS` is `tests/digests.json`, the one
+table of report sha256 pins.
 """
 
 from __future__ import annotations
@@ -22,8 +25,10 @@ from __future__ import annotations
 import dataclasses
 import heapq
 import itertools
+import json
 from collections import Counter
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -37,6 +42,16 @@ from nagaotree import words as W
 from nagaotree.errors import (CannotExtendInTruncation, LevelTooHigh,
                               LevelZeroBase, NonCanonicalAddress)
 from nagaotree.serialize import vertex_label
+
+ROOT = Path(__file__).resolve().parent.parent
+MAPS = ROOT / "maps"
+DIGESTS = json.loads((ROOT / "tests" / "digests.json").read_text())
+
+
+def library_digest(key: str) -> str:
+    """The pinned sha256 of a library report; tests/test_digests.py finds
+    every entry's reader by this call with the key as a literal."""
+    return DIGESTS["library"][key]
 
 
 @pytest.fixture(scope="session")
@@ -592,6 +607,20 @@ def tabulated_map(t, g):
     whole ball, which a test may then damage."""
     d = t.datum
     return E.TreeMap(d, {v: T.act(d, g, v) for v in t.verts}, backing=g)
+
+
+def identity_star(d):
+    """The identity on the base vertex and its star."""
+    x0 = T.base_vertex()
+    return E.TreeMap(d, {v: v for v in [x0] + T.neighbors(d, x0)})
+
+
+def swap_map(d):
+    """x_1 fixed, x_0 and u x_0 swapped, for the generator u of the first
+    root group on ray 1: a nontrivial map on the star of x_1."""
+    x0, x1 = T.base_vertex(), T.ray_vertex(1)
+    u_x0 = T.act_word(d, W.generator(1, 1, 1), x0)
+    return E.TreeMap(d, {x1: x1, x0: u_x0, u_x0: x0})
 
 
 def rotating_star(d):

@@ -1,9 +1,9 @@
-import hashlib
 import json
 
 import pytest
 
-from conftest import component_graph_to_dot, twisted_datum
+from conftest import (MAPS, component_graph_to_dot, identity_star,
+                      rotating_star, swap_map, twisted_datum)
 from nagaotree import cli
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -254,14 +254,35 @@ def _phi_file(tmp_path, d, pairs, name="phi.json"):
     return str(p)
 
 
+COMMITTED_MAPS = [
+    ("D0", "star-k3.json", identity_star),
+    ("D1", "star-k3.json", identity_star),
+    ("D3", "star-k3.json", identity_star),
+    ("D2", "star-d2.json", identity_star),
+    ("D2", "rotate-d2.json", rotating_star),
+    ("D0", "swap-d0.json", swap_map),
+]
+
+
+@pytest.mark.parametrize("name,path,oracle", COMMITTED_MAPS)
+def test_committed_map(name, path, oracle, request):
+    # each maps/ file loads to exactly the map its oracle builds, in order
+    d = request.getfixturevalue(name.lower())
+    loaded, built = cli.load_map(d, str(MAPS / path)), oracle(d)
+    assert list(loaded.pairs.items()) == list(built.pairs.items())
+    assert loaded.backing is None
+
+
+def test_committed_maps_all_have_an_oracle():
+    assert ({path for _, path, _ in COMMITTED_MAPS}
+            == {p.name for p in MAPS.iterdir()})
+
+
 def test_extend_identity(tmp_path, capsys):
-    d = D.builtin("D0")
-    x0 = T.base_vertex()
-    pairs = {v: v for v in [x0] + T.neighbors(d, x0)}
-    path = _phi_file(tmp_path, d, pairs)
     out_file = tmp_path / "ext.json"
     code, _ = run(capsys, "extend", "--datum", "D0", "--radius", "6",
-                  "--phi", path, "--seed", "1", "--out", str(out_file))
+                  "--phi", str(MAPS / "star-k3.json"), "--seed", "1",
+                  "--out", str(out_file))
     assert code == 0
     payload = json.loads(out_file.read_text())
     assert payload["ok"]
@@ -269,48 +290,26 @@ def test_extend_identity(tmp_path, capsys):
     assert payload["report"]["selected_i"] == 2
 
 
-def test_extend_identity_d2_r3(tmp_path, capsys):
+def test_extend_identity_d2_r3(d2, capsys):
     # D2 at i = 2 has 51,696 fallback shifts per commensuration sample
-    d = D.builtin("D2")
-    x0 = T.base_vertex()
-    phi = E.TreeMap(d, {v: v for v in [x0] + T.neighbors(d, x0)})
-    _, rep = E.density_pipeline(d, phi, 3, n_samples=4, seed=0,
-                                record_instances=True)
+    _, rep = E.density_pipeline(d2, identity_star(d2), 3, n_samples=4,
+                                seed=0, record_instances=True)
     cert = rep.certificate
     assert rep.selected_i == 2 and cert.valid
     assert (cert.condition_a.checked, cert.condition_a.skipped) == (7, 0)
     assert (cert.condition_b.checked, cert.condition_b.skipped) == (1, 0)
     assert [e["ok"] for e in rep.commensuration.entries] == [True] * 4
-    path = _phi_file(tmp_path, d, phi.pairs)
+    # the report bytes are pinned as test_golden's extend-D2-r3
     code, out = run(capsys, "extend", "--datum", "D2", "--radius", "3",
-                    "--phi", path)
+                    "--phi", str(MAPS / "star-d2.json"))
     assert code == 0
     assert json.loads(out)["report"] == json.loads(
         json.dumps(rep.to_json()))
-    # the report bytes, as pinned for the other data in test_golden
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "39d735d7e2cfaf70f4daa38f3b670bcb180c8db9be49c855cd71ad5a7c314c13")
 
 
-def test_extend_identity_d2_r4(tmp_path, capsys):
-    d = D.builtin("D2")
-    x0 = T.base_vertex()
-    path = _phi_file(tmp_path, d, {v: v for v in [x0] + T.neighbors(d, x0)})
-    code, out = run(capsys, "extend", "--datum", "D2", "--radius", "4",
-                    "--phi", path)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "d061fcf0632396d24241c68c02dcca4bbc7d1805b1c3da5aff4f1487f75f093f")
-
-
-def test_extend_swap_nontrivial(tmp_path, capsys):
-    d = D.builtin("D0")
-    x0, x1 = T.base_vertex(), T.ray_vertex(1)
-    u_x0 = T.act_word(d, W.generator(1, 1, 1), x0)
-    pairs = {x1: x1, x0: u_x0, u_x0: x0}
-    path = _phi_file(tmp_path, d, pairs)
+def test_extend_swap_nontrivial(capsys):
     code, out = run(capsys, "extend", "--datum", "D0", "--radius", "6",
-                    "--phi", path, "--seed", "2")
+                    "--phi", str(MAPS / "swap-d0.json"), "--seed", "2")
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"]

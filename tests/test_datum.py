@@ -161,12 +161,13 @@ def test_h0_embedding_is_homomorphic(d1):
                 == vg.h0_embed[g0.mul(a, b)]
 
 
-def test_datum_json_roundtrip(d3):
-    obj = D.datum_to_json(d3)
-    d = D.datum_from_json(obj)
-    assert d.k == d3.k
-    assert [d.q(i) for i in range(8)] == [d3.q(i) for i in range(8)]
-    assert d.reps == d3.reps
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3", "twisted"])
+def test_datum_json_roundtrip(name):
+    d = _twisted_datum() if name == "twisted" else D.builtin(name)
+    obj = D.datum_to_json(d)
+    back = D.datum_from_json(obj)
+    assert D.datum_to_json(back) == obj
+    assert back.nav == d.nav
 
 
 def _twisted_datum():

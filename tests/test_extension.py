@@ -1,6 +1,7 @@
 import functools
 import json
 import random
+import tracemalloc
 from operator import itemgetter
 
 import pytest
@@ -717,3 +718,19 @@ def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
     assert rep.certificate.valid
     assert calls["act"] <= ACT_CEILING, calls
     assert calls["validate_address"] <= VALIDATE_CEILING, calls
+
+
+def test_element_map_memory_is_bounded_by_its_ball(d2, ball_d2_4):
+    # condition (b) reads h at tau(v) for every v of X0 and every component
+    # Y; most tau(v) lie outside the ball.  Keeping every image it formed,
+    # the map held 47,174 of them and the certificate peaked at 12.5 MB;
+    # keeping the ball's alone, 1,814 and under 0.7 MB
+    w = W.enumerate_words(d2, 1, [1, 2])[0]
+    h = E.TreeMap.from_element(ball_d2_4, (d2.ident0, w))
+    tracemalloc.start()
+    try:
+        assert E.check_Li(ball_d2_4, h, 1).valid
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20

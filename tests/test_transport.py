@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import gamma_identity, tabulated_map, twisted_datum
+from conftest import (gamma_identity, library_digest, tabulated_map,
+                      twisted_datum)
 from nagaotree import algebra as A
 from nagaotree import datum as D
 from nagaotree import extension as E
@@ -261,13 +262,11 @@ def _check_exhaustive(name, radius, total, digest):
 
 
 def test_verify_transport_exhaustive_d0():
-    _check_exhaustive("D0", 5, 137_014, "5304b35f6e95f151aae3517b1e2e8977"
-                      "292f7243dcafeeda1b7291fa081f6599")
+    _check_exhaustive("D0", 5, 137_014, library_digest("transport-D0-r5"))
 
 
 def test_verify_transport_exhaustive_d3():
-    _check_exhaustive("D3", 4, 16_417, "60f03a83b1d11c9a9edb56a29b494183"
-                      "84be05b8aff16c5b902303f5d7dfeab5")
+    _check_exhaustive("D3", 4, 16_417, library_digest("transport-D3-r4"))
 
 
 def test_verify_transport_sampled_d2(d2):
@@ -275,16 +274,13 @@ def test_verify_transport_sampled_d2(d2):
     assert rep.passed
     assert rep.total >= 200
     assert rep.total == 1190
-    assert _digest(rep) == ("0b873ee929f39b48cb5a1f60ab738a1f"
-                            "0399511dc3473a7a112a5a6dea5c09b9")
+    assert _digest(rep) == library_digest("transport-D2-r4-s24-seed9")
 
 
 @pytest.mark.parametrize("name, radius, samples, seed, total, digest", [
     # the sampled sweep of the sweep-sampled benchmark and of CI
-    ("D2", 4, 24, 1, 1169, "74c2d5da09b8447a2572237f2d107ee0"
-                           "a969f268532058baf8f8cba14f75c7ad"),
-    ("D0", 5, 30, 5, 819, "85865d9332e8964ed1ffe61fedb439b8"
-                          "1f6b3679f6be7d33b00b92ec851b010f"),
+    ("D2", 4, 24, 1, 1169, library_digest("transport-D2-r4-s24-seed1")),
+    ("D0", 5, 30, 5, 819, library_digest("transport-D0-r5-s30-seed5")),
 ])
 def test_verify_transport_sampled_digests(name, radius, samples, seed, total,
                                           digest):
@@ -329,8 +325,7 @@ def test_fault_injection_is_detected():
     good = twisted_datum()
     rep = TR.verify_transport(good, 4, levels=(1, 2), samples=60, seed=13)
     assert rep.passed
-    assert _digest(rep) == ("f26b81ba95ba02e25676f16f29588de2"
-                            "0bf4028a00a80a0c092234e10c4f305d")
+    assert _digest(rep) == library_digest("transport-twisted-r4-s60-seed13")
     bad = twisted_datum(corrupt=True)
     # the corruption is a non-action, caught by the algebra validator
     assert A.validate_action(bad.root(2).action)
@@ -338,8 +333,8 @@ def test_fault_injection_is_detected():
     tr = TR.verify_transport(bad, 4, levels=(1, 2), samples=60, seed=13)
     assert not tr.passed
     assert (tr.total, len(tr.failures)) == (1508, 21)
-    assert _digest(tr) == ("e22109468b7851a71b7e50058e675a8f"
-                           "ffafaf6d2ee4a928920b62cc91c22f6f")
+    assert _digest(tr) == library_digest(
+        "transport-twisted-corrupt-r4-s60-seed13")
     assert sum(slot["failed"] for slot in tr.rules.values()) == 21
     first = tr.failures[0]
     assert first["rule"] in tr.rules and first["instance"]
