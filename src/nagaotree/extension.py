@@ -43,15 +43,13 @@ from .words import Gamma, Word
 class TreeMap:
     """A partial injective map between vertex sets of the tree.
 
-    `pairs` is the explicit finite graph of the map.  When the map is the
-    restriction of a known group element, that element is kept as a backing
-    so the map can be evaluated anywhere: a vertex outside `pairs` takes
-    the backing image, formed on its first use and kept with the map.  An
-    element map (`from_element`) has no explicit graph at all, so a
-    certificate acts only on the vertices it reads, and it keeps only its
-    ball's images; the extension operators read `pairs` alone and refuse
-    it as an empty map.  Domain vertices are addressed symbolically, so
-    images may lie outside any particular ball.
+    `pairs` is the explicit finite graph of the map.  A map that restricts
+    a known group element keeps it as a backing, so a vertex outside
+    `pairs` takes the backing image, formed on each read.  An element map
+    (`from_element`) has no explicit graph: a certificate acts only on the
+    vertices it reads, the map keeps its ball's images by vid, and the
+    extension operators refuse it as an empty map.  Domain vertices are
+    addressed symbolically, so images may lie outside any particular ball.
     """
 
     def __init__(self, datum: NagaoDatum, pairs: dict[Vertex, Vertex],
@@ -60,24 +58,25 @@ class TreeMap:
         self.pairs = pairs
         self.backing = backing
         self._inverse: Optional[dict[Vertex, Vertex]] = None
-        self._images: dict[Vertex, Vertex] = {}
-        self._kept: Optional[dict[Vertex, int]] = None  # None keeps all
+        self._ball: dict[Vertex, int] = {}  # vertex ids of the kept images
+        self._images: list[Optional[Vertex]] = []
 
     @classmethod
     def from_element(cls, t: TruncatedTree, g: Gamma) -> "TreeMap":
         """The map of g on t's datum, evaluated on demand; keeps t's images."""
         h = cls(t.datum, {}, backing=g)
-        h._kept = t.index
+        h._ball, h._images = t.index, [None] * len(t.verts)
         return h
 
     def apply(self, v: Vertex) -> Optional[Vertex]:
         img = self.pairs.get(v)
         if img is None and self.backing is not None:
-            img = self._images.get(v)
+            vid = self._ball.get(v)
+            if vid is None:
+                return T.act(self.datum, self.backing, v)
+            img = self._images[vid]
             if img is None:
-                img = T.act(self.datum, self.backing, v)
-                if self._kept is None or v in self._kept:
-                    self._images[v] = img
+                img = self._images[vid] = T.act(self.datum, self.backing, v)
         return img
 
     def inverse_apply(self, v: Vertex) -> Optional[Vertex]:

@@ -17,16 +17,21 @@ from conftest import DIGESTS, ROOT
 
 HEX64 = re.compile(r"[0-9a-f]{64}")
 WORKFLOW = ".github/workflows/tests.yml"
+SOURCE_SUFFIXES = {".py", ".yml", ".yaml", ".json", ".md", ".txt"}
 
 
-def checked_texts() -> dict[str, str]:
-    """The text of each file under tests/ and .github/ but the table, by
-    its path from the repository root."""
-    return {str(path.relative_to(ROOT)): path.read_text()
+def checked_texts(base=ROOT) -> dict[str, str]:
+    """The text of each source file under base's tests/ and .github/ but
+    the table, by its path from base (the repository root).  Files of other suffixes
+    and everything in a dot-directory or __pycache__ below those roots
+    (a .hypothesis/ database, a .pytest_cache/) are caches, not sources."""
+    return {str(path.relative_to(base)): path.read_text()
             for root in ("tests", ".github")
-            for path in sorted((ROOT / root).rglob("*"))
-            if path.is_file() and path.name != "digests.json"
-            and "__pycache__" not in path.parts}
+            for path in sorted((base / root).rglob("*"))
+            if path.is_file() and path.suffix in SOURCE_SUFFIXES
+            and path.name != "digests.json"
+            and not any(part.startswith(".") or part == "__pycache__"
+                        for part in path.relative_to(base / root).parts[:-1])}
 
 
 def table_faults(table, texts) -> list[str]:
@@ -60,6 +65,19 @@ def table_faults(table, texts) -> list[str]:
 def test_table_has_no_fault():
     assert set(DIGESTS) == {"about", "cli", "library"}
     assert table_faults(DIGESTS, checked_texts()) == []
+
+
+def test_caches_are_not_scanned(tmp_path):
+    files = {"tests/test_x.py": b"X = 1\n",
+             ".github/workflows/tests.yml": b"on: push\n",
+             "tests/.hypothesis/examples/%s/%s" % ("a" * 16, "b" * 64): b"\xff",
+             "tests/.pytest_cache/README.md": b"%s\n" % (b"c" * 64),
+             "tests/__pycache__/test_x.cpython-311.pyc": b"\x00\xff"}
+    for name, data in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    assert set(checked_texts(tmp_path)) == {"tests/test_x.py",
+                                            ".github/workflows/tests.yml"}
 
 
 def _unread_library_entry(table, texts):
