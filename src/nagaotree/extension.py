@@ -187,6 +187,8 @@ def _greedy_match(t: TruncatedTree, pairs: dict[Vertex, Vertex],
     degree of a vertex depends on its level alone, so v and its image have
     equally many free neighbors per class (for types, see
     `extend_type_preserving`): the raise below is an invariant check.
+    Each new pair maps an edge to an edge onto an unused image, so the
+    output is again a partial isomorphism between subtrees.
 
     Neighbor lists are read unchecked: the input has just passed
     `_check_partial_iso`, so its addresses are canonical, and every vertex
@@ -247,12 +249,6 @@ class ConditionStats(Tally):
     instance when recorded."""
 
     instances: list[dict] = field(default_factory=list)
-
-    def tally(self, pairs, image: Callable, names: tuple[str, ...],
-              head: tuple, record: Optional[dict]) -> bool:
-        """Tally one instance from its (point, want) pairs by `_compare`.
-        Returns whether it failed, which ends the check."""
-        return self.add(*_compare(pairs, image, names, head), record)
 
     def add(self, points: int, failure: Optional[dict],
             record: Optional[dict]) -> bool:
@@ -390,8 +386,9 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
                  if h.apply(v) is not None
                  and (lhs := h.apply(T.act_word(d, tau, v))) is not None)
         record = {"Y": str(y_key)} if record_instances else None
-        if cb.tally(pairs, lambda v: T.act_word(d, tau_img, h.apply(v)),
-                    ("Y", "v", "tau'(h(v))", "h(tau(v))"), (y_key,), record):
+        verdict = _compare(pairs, lambda v: T.act_word(d, tau_img, h.apply(v)),
+                           ("Y", "v", "tau'(h(v))", "h(tau(v))"), (y_key,))
+        if cb.add(*verdict, record):
             return cert
     return cert
 
@@ -413,8 +410,15 @@ def extend_E(t: TruncatedTree, h: TreeMap, i: int,
     a block graph, with one clique per horosphere.  So every walk order
     gives the same map.
     """
+    _check_partial_iso(t.datum, h.pairs, require_levels=True)
+    return _extend_E(t, h, i, lenient)
+
+
+def _extend_E(t: TruncatedTree, h: TreeMap, i: int, lenient: bool) -> TreeMap:
+    """`extend_E` without the map check.  Its input was checked by
+    `extend_E`, or built by `_greedy_match`, whose docstring proves it a
+    partial isomorphism between subtrees, level-preserving by its class."""
     d = t.datum
-    _check_partial_iso(d, h.pairs, require_levels=True)
     graph = H.component_graph(t, i)
     anchor = min(h.pairs, key=T.address_key)
     if anchor[2] > i:
@@ -699,10 +703,10 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
     """Extend a level-preserving isomorphism between finite subtrees to a
     level-preserving automorphism of the truncation, with evidence.
 
-    Steps: pick the level bound i (non-biregular bounded piece containing
-    domain and image), greedily extend inside it, extend to the whole ball
-    by the unique component-wise construction, then check membership and
-    run the commensuration probe on seeded samples.
+    Steps: check phi, pick the level bound i (non-biregular bounded piece
+    containing domain and image), greedily extend inside it, extend to the
+    whole ball by the unique component-wise construction, then check
+    membership and run the commensuration probe on seeded samples.
 
     The sample pool is the nonempty level-<=i+1 words of length <= 2 that
     keep the base vertex in the ball.  A normal-form word moves the base
@@ -717,8 +721,8 @@ def density_pipeline(d: NagaoDatum, phi: TreeMap, radius: int,
         if v not in t:
             raise CannotExtendInTruncation(f"{v} is outside the radius-{radius} ball")
     i = select_truncation_level(t, touched)
-    g = greedy_extend(t, phi, level_bound=i)
-    Eg = extend_E(t, g, i)
+    g = _greedy_match(t, phi.pairs, itemgetter(2), i)
+    Eg = _extend_E(t, g, i, lenient=False)
     cert = check_Li(t, Eg, i, record_instances=record_instances)
     rng = random.Random(seed)
     positions = list(range(1, min(i + 1, radius // 2) + 1))

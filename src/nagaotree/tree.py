@@ -7,7 +7,7 @@ address equality is vertex equality.  Level-0 vertices carry s = 0: the free
 product acts simply transitively on them and the word alone is the name.
 
 Adjacency, levels and the group action are all symbolic (no truncation
-needed); balls, distances and component structure are computed on explicit
+needed); balls, geodesics and component structure are computed on explicit
 BFS truncations.
 """
 
@@ -212,11 +212,6 @@ def ball(d: NagaoDatum, center: Vertex, radius: int) -> TruncatedTree:
         frontier = nxt
     return TruncatedTree(datum=d, center=center, radius=radius, verts=verts,
                          index=index, dist=dist, adj=adj)
-
-
-def distance(t: TruncatedTree, a: Vertex, b: Vertex) -> int:
-    """Tree distance via the lowest common ancestor in the BFS structure."""
-    return len(geodesic(t, a, b)) - 1
 
 
 def geodesic(t: TruncatedTree, a: Vertex, b: Vertex) -> list[Vertex]:

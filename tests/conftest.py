@@ -576,8 +576,9 @@ def check_li_oracle(t, h, i, record_instances=False):
                 ca.skipped += 1
                 continue
             record = {"x": str(x), "h(x)": str(y)} if record_instances else None
-            if ca.tally(TR.gamma_xy_on_horoball(d, hb, x_vid, y), h.apply,
-                        ("x", "u", "h(u)", "gamma(u)"), (x,), record):
+            if ca.add(*E._compare(TR.gamma_xy_on_horoball(d, hb, x_vid, y),
+                                  h.apply, ("x", "u", "h(u)", "gamma(u)"),
+                                  (x,)), record):
                 return dataclasses.replace(cert, condition_a=ca,
                                            condition_b=E.ConditionStats(cap=10))
     return dataclasses.replace(cert, condition_a=ca)
@@ -591,9 +592,9 @@ def count_calls(monkeypatch, *targets) -> dict:
     def counted(module, name):
         inner = getattr(module, name)
 
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             calls[name] += 1
-            return inner(*args)
+            return inner(*args, **kwargs)
         calls[name] = 0
         monkeypatch.setattr(module, name, wrapper)
 

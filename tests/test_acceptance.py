@@ -68,7 +68,7 @@ def test_criterion_2_simple_transitivity(d0, ball_d0_6):
                 m_set = {
                     t.verts[vid] for vid in range(t.n)
                     if t.level(vid) == i - 1
-                    and T.distance(t, t.verts[vid], xj) == span
+                    and len(T.geodesic(t, t.verts[vid], xj)) - 1 == span
                 }
                 expected = 1
                 for r in range(i, j + 1):

@@ -564,8 +564,9 @@ _X1_UNREDUCED = (W.generator(1, 1, 1), 1, 1)
 
 
 @pytest.mark.parametrize("extend", [
-    E.greedy_extend, functools.partial(E.extend_E, i=1)],
-    ids=["greedy_extend", "extend_E"])
+    E.greedy_extend, functools.partial(E.extend_E, i=1),
+    lambda t, phi: E.density_pipeline(t.datum, phi, t.radius)],
+    ids=["greedy_extend", "extend_E", "density_pipeline"])
 @pytest.mark.parametrize("pairs, exc, message", [
     # the root image is validated first
     ({T.base_vertex(): ((), 1, 0)}, NonCanonicalAddress,
@@ -698,18 +699,21 @@ def test_pipeline_pool_stays_near_the_ball(monkeypatch):
 
 # the work of a fixed membership batch: 400 certificates of Delta elements
 # on the D0 r6 ball and one density pipeline.  The ceilings are the counts
-# of maps evaluated where a certificate reads them and addresses validated
-# once per map check; tabulating every element over the ball (92,840 acts)
-# or validating every address a walk reaches (716 validations) exceeds them
+# of maps evaluated where a certificate reads them, and of one check of the
+# pipeline's input map; tabulating every element over the ball (92,840
+# acts) or checking the map again in the greedy and extension steps (716
+# neighbor lists, 6 validations) exceeds them
 ACT_CEILING = 66_834
-VALIDATE_CEILING = 6
+NEIGHBORS_CEILING = 262
+VALIDATE_CEILING = 2
 
 
 def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
     t = ball_d0_6
     words = W.enumerate_words(d0, 3, [1, 2, 3])[:200]
     phi = rotating_star(d0)
-    calls = count_calls(monkeypatch, (T, "act"), (T, "validate_address"))
+    calls = count_calls(monkeypatch, (T, "act"), (T, "neighbors"),
+                        (T, "validate_address"))
     for i in (1, 2):
         for w in words:
             h = E.TreeMap.from_element(t, (d0.ident0, w))
@@ -717,6 +721,7 @@ def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
     _, rep = E.density_pipeline(d0, phi, 6, n_samples=2, seed=0)
     assert rep.certificate.valid
     assert calls["act"] <= ACT_CEILING, calls
+    assert calls["neighbors"] <= NEIGHBORS_CEILING, calls
     assert calls["validate_address"] <= VALIDATE_CEILING, calls
 
 

@@ -136,22 +136,25 @@ def test_action_fidelity_sampled(d1):
 def test_distance_and_geodesic(d0, ball_d0_6):
     t = ball_d0_6
     x0 = T.base_vertex()
-    assert T.distance(t, x0, x0) == 0
-    assert T.distance(t, x0, T.ray_vertex(3)) == 3
+
+    def distance(a, b):
+        return len(T.geodesic(t, a, b)) - 1
+    assert distance(x0, x0) == 0
+    assert distance(x0, T.ray_vertex(3)) == 3
     assert [v[2] for v in T.geodesic(t, x0, T.ray_vertex(3))] == [0, 1, 2, 3]
     # u.x0 for u a level-2 root element: u fixes x2, so the geodesic is the
     # u-translate of x0-x1-x2 and the distance is 2; u.x1 is one of the
     # q_2 = 2 down-neighbors of x2 (the set acted on simply transitively)
     u_x0 = T.act_word(d0, W.generator(1, 2, 1), x0)
-    assert T.distance(t, u_x0, T.ray_vertex(2)) == 2
+    assert distance(u_x0, T.ray_vertex(2)) == 2
     u_x1 = T.act_word(d0, W.generator(1, 2, 1), T.ray_vertex(1))
-    assert T.distance(t, u_x1, T.ray_vertex(2)) == 1
+    assert distance(u_x1, T.ray_vertex(2)) == 1
     m22 = {t.verts[vid] for vid in range(t.n)
            if t.level(vid) == 1
-           and T.distance(t, t.verts[vid], T.ray_vertex(2)) == 1}
+           and distance(t.verts[vid], T.ray_vertex(2)) == 1}
     assert m22 == {T.ray_vertex(1), u_x1}
     with pytest.raises(NotInTruncation):
-        T.distance(t, x0, (W.EMPTY, 1, 9))
+        T.geodesic(t, x0, (W.EMPTY, 1, 9))
 
 
 @pytest.mark.parametrize("name,radius", [("D0", 5), ("D1", 5), ("D2", 3),
@@ -350,10 +353,10 @@ def test_ball_around_noncentral_vertex(d0):
     x2 = T.ray_vertex(2)
     small = T.ball(d0, x2, 3)
     expect = {big.verts[vid] for vid in range(big.n)
-              if x2 in big and T.distance(big, big.verts[vid], x2) <= 3
+              if x2 in big and len(T.geodesic(big, big.verts[vid], x2)) - 1 <= 3
               and big.dist[vid] + 0 <= 6}
     # restrict to vertices whose distance to x_2 is fully visible
-    expect = {v for v in expect if T.distance(big, v, x2) <= 3}
+    expect = {v for v in expect if len(T.geodesic(big, v, x2)) - 1 <= 3}
     got = set(small.verts)
     # the small ball may legitimately contain vertices outside the big one
     assert expect <= got
