@@ -372,7 +372,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
     if x0_key is None:
         cb.skipped += 1
         return cert
-    X0 = graph.components[x0_key]
+    x0_verts = graph.components[x0_key].vertices()
     hX0_key = graph.key_of(h.apply(x0_key))
     for y_key in graph.node_keys():
         hY_key = graph.key_of(h.apply(y_key))
@@ -382,7 +382,7 @@ def check_Li(t: TruncatedTree, h: TreeMap, i: int,
         tau = TR.tau_XY(d, graph, x0_key, y_key)
         tau_img = TR.tau_XY(d, graph, hX0_key, hY_key)
         # tau'(h(v)) is formed only where h(v) and h(tau(v)) are in view
-        pairs = ((v, lhs) for v in X0.vertices()
+        pairs = ((v, lhs) for v in x0_verts
                  if h.apply(v) is not None
                  and (lhs := h.apply(T.act_word(d, tau, v))) is not None)
         record = {"Y": str(y_key)} if record_instances else None
@@ -437,6 +437,11 @@ def _extend_E(t: TruncatedTree, h: TreeMap, i: int, lenient: bool) -> TreeMap:
             continue
         result[v] = img
 
+    def assign(u: Vertex, img: Vertex, what: str) -> None:
+        """Set the image of u, or check it against the one already set."""
+        if result.setdefault(u, img) != img:
+            raise NotIsomorphism(f"{what} at {u}")
+
     # per-component evaluators: g_Z = post . h . pre with pre, post in Delta
     evaluators: dict[Vertex, tuple[Word, Word]] = {x_key: (W.EMPTY, W.EMPTY)}
 
@@ -454,6 +459,7 @@ def _extend_E(t: TruncatedTree, h: TreeMap, i: int, lenient: bool) -> TreeMap:
     depth = T.bfs_depths([x_key], graph.edges.__getitem__)
     hb_done = set()
     for key, k in depth.items():
+        Z = graph.components[key]
         if key != x_key:
             parent = next(p for p in graph.edges[key] if depth[p] < k)
             x, z = graph.witness(parent, key)
@@ -463,21 +469,14 @@ def _extend_E(t: TruncatedTree, h: TreeMap, i: int, lenient: bool) -> TreeMap:
             pre, post = evaluators[parent]
             evaluators[key] = (W.delta_mul(d, pre, TR.delta_xy(d, z, x)),
                                W.delta_mul(d, TR.delta_xy(d, y, zp), post))
-        Z = graph.components[key]
-        # ensure the component itself is mapped; where an image already
-        # exists (the entry vertex, set from the horoball side) the two
-        # definitions have to agree
-        for vid in Z.vertex_ids:
-            v = t.verts[vid]
-            img = evaluate(key, v)
-            if img is None:
-                continue
-            prev = result.get(v)
-            if prev is None:
-                result[v] = img
-            elif prev != img:
-                raise NotIsomorphism(
-                    f"horoball and component definitions disagree at {v}")
+            # map the component itself (X is mapped by h above); where an
+            # image already exists (the entry vertex, set from the horoball
+            # side) the two definitions have to agree
+            for vid in Z.vertex_ids:
+                v = t.verts[vid]
+                img = evaluate(key, v)
+                if img is not None:
+                    assign(v, img, "horoball and component definitions disagree")
         # horoballs at the component's level-i vertices
         for x_vid in Z.horosphere_ids():
             x = t.verts[x_vid]
@@ -487,12 +486,7 @@ def _extend_E(t: TruncatedTree, h: TreeMap, i: int, lenient: bool) -> TreeMap:
                 continue
             hb_done.add(hb)
             for u, img in TR.gamma_xy_on_horoball(d, hb, x_vid, y):
-                prev = result.get(u)
-                if prev is None:
-                    result[u] = img
-                elif prev != img:
-                    raise NotIsomorphism(
-                        f"inconsistent horoball propagation at {u}")
+                assign(u, img, "inconsistent horoball propagation")
 
     uncovered = [v for v in t.verts if v not in result]
     if uncovered and not lenient:

@@ -4,10 +4,12 @@ For x of positive level, the horoball HB(x) is the component of x in the
 forest of vertices of level >= l(x), and the horosphere HS(x) its level-l(x)
 part.  Cutting a ball at level i gives the horoballs (components of levels
 >= i) and the components of levels <= i; the two families meet in the
-level-i horospheres.  One memoised cut (`level_cut`) floods every piece of a
-side once; `horoball`, `horoballs` and `component_graph` read their pieces
-off it.  Balls, horoballs and components are convex, so in-ball parts are
-connected and flood fill is exact.
+level-i horospheres.  One memoised cut (`level_cut`) finds every piece of a
+side in one pass over the ball's BFS parents; `horoball`, `horoballs` and
+`component_graph` read their pieces off it.  Balls, horoballs and
+components are convex, so an in-ball part is a subtree of the ball's BFS
+tree: its least id is its top, and every other vertex of it has its BFS
+parent in it.
 
 The component graph joins components on a common horosphere: a block graph
 with one clique per horosphere.  A geodesic is read off the ball as the
@@ -72,15 +74,20 @@ def level_cut(t: TruncatedTree, i: int, above: bool
               ) -> tuple[tuple[Piece, ...], dict[int, Piece]]:
     """The pieces of the ball cut at level i, on the side of levels >= i
     (above) or <= i, in order of least vertex id, and the piece of every
-    vertex they cover.  Memoised per ball."""
-    keep = (lambda u: t.level(u) >= i) if above else (lambda u: t.level(u) <= i)
+    vertex they cover.  In id order, a kept vertex joins the piece of its
+    BFS parent, or else opens a new piece (see the module docstring).
+    Memoised per ball."""
     pieces: list[Piece] = []
     piece_of: dict[int, Piece] = {}
-    for vid in range(t.n):
-        if vid not in piece_of and keep(vid):
-            piece = Piece(i=i, tree=t, vertex_ids=T.flood(t, vid, keep))
+    for vid, (_, _, level) in enumerate(t.verts):
+        if (level < i) if above else (level > i):
+            continue
+        piece = piece_of.get(t.adj[vid][0]) if vid else None
+        if piece is None:
+            piece = Piece(i=i, tree=t, vertex_ids=[])
             pieces.append(piece)
-            piece_of.update(dict.fromkeys(piece.vertex_ids, piece))
+        piece.vertex_ids.append(vid)
+        piece_of[vid] = piece
     return tuple(pieces), piece_of
 
 

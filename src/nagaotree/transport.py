@@ -258,8 +258,8 @@ def verify_transport(d: NagaoDatum, radius: int, levels=(1, 2), samples: int = 0
 
     for i in levels:
         # the in-ball horosphere of every level-i vertex, in address order;
-        # balls and horoballs are convex, so the flooded horosphere is the
-        # in-ball part of the symbolic one
+        # balls and horoballs are convex, so the horosphere of a piece of
+        # the level cut is the in-ball part of the symbolic one
         spheres = [sorted((t.verts[v] for v in hb.horosphere_ids()),
                           key=T.address_key) for hb in H.horoballs(t, i)]
         sphere = {x: members for members in spheres for x in members}

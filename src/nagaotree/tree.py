@@ -14,6 +14,7 @@ BFS truncations.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from . import words as W
@@ -103,8 +104,10 @@ class TruncatedTree:
 
     Vertices are indexed in BFS discovery order; `adj` is the full in-ball
     adjacency, each list with the BFS parent first (none for the center)
-    and then the children in increasing id.  A vertex is interior when all
-    its tree neighbors lie in the ball.
+    and then the children in increasing id.  So the edges are the pairs
+    (parent id, id), and `dist` does not decrease with the id.  A vertex is
+    interior when all its tree neighbors lie in the ball: the interior ids
+    are the prefix of those at distance below the radius.
     """
 
     datum: NagaoDatum
@@ -134,22 +137,22 @@ class TruncatedTree:
     def is_interior(self, vid: int) -> bool:
         return self.dist[vid] < self.radius
 
-    def interior_ids(self) -> list[int]:
-        return [i for i in range(self.n) if self.dist[i] < self.radius]
+    def interior_ids(self) -> range:
+        return range(bisect_left(self.dist, self.radius))
 
     def degree(self, vid: int) -> int:
         return len(self.adj[vid])
 
     def edges(self):
-        """The in-ball edges (a, b), a < b, in increasing order.
+        """The in-ball edges (a, b), a < b, in increasing order: (parent id,
+        id) for every id but the center's.
 
-        `adj[a]` holds the BFS parent of a first (none for the center) and
-        then its children in increasing id, since a child's id is given at
-        discovery.  The parent's id is below a and every child's above, so
-        the pairs with a < b come out sorted with no global sort.
+        `ball` numbers the children of a vertex consecutively and expands
+        each frontier in increasing id, so the parent ids do not decrease
+        along the ids and the pairs come out sorted with no sort.
         """
         adj = self.adj
-        return ((a, b) for a in range(self.n) for b in adj[a] if a < b)
+        return ((adj[b][0], b) for b in range(1, self.n))
 
     def to_json(self) -> dict:
         """The report of the ball, with its vertex and edge rows as `Rows`."""
@@ -161,7 +164,7 @@ class TruncatedTree:
                 {"id": i, "address": Address(v), "level": v[2],
                  "dist": dist[i]}
                 for i, v in enumerate(verts))),
-            "edges": Rows(sum(map(len, self.adj)) // 2,
+            "edges": Rows(self.n - 1,
                           lambda: ([a, b] for a, b in self.edges())),
         }
 
@@ -250,13 +253,6 @@ def bfs_depths(sources, nbrs, max_depth: int | None = None) -> dict:
                     nxt.append(w)
         frontier = nxt
     return depth
-
-
-def flood(t: TruncatedTree, start: int, keep) -> list[int]:
-    """Sorted ids of the in-ball component of `start` among the vertices
-    whose id satisfies `keep`."""
-    return sorted(bfs_depths([start],
-                             lambda v: (u for u in t.adj[v] if keep(u))))
 
 
 # -- level reconstruction from degrees ---------------------------------------

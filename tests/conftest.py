@@ -1,7 +1,8 @@
 """Shared fixtures and independent oracles.
 
-The oracles deliberately avoid the package's own BFS/flood machinery: ball
-sizes come from a degree recursion over the q-schedule, group tables from
+The oracles deliberately avoid the package's own BFS machinery: ball
+sizes come from a degree recursion over the q-schedule, the pieces of a
+level cut from a stack walk over the ball's adjacency, group tables from
 permutation composition, coset counts from brute-force enumeration, and
 vertex-group tables from the semidirect-product formula on digit tuples.
 The word-kernel oracles are the plain loop forms of the library kernels:
@@ -304,6 +305,19 @@ def horoball_oracle(t, x) -> set:
         if min(geodesic_levels(t, x, y)) >= lv:
             out.add(y)
     return out
+
+
+def flood_oracle(t, start: int, keep) -> list[int]:
+    """Sorted ids of the in-ball component of `start` among the ids that
+    satisfy `keep`, by a stack walk over `t.adj`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for u in t.adj[stack.pop()]:
+            if u not in seen and keep(u):
+                seen.add(u)
+                stack.append(u)
+    return sorted(seen)
 
 
 def bfs_component_geodesic(g, a, b) -> list:

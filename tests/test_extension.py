@@ -700,12 +700,15 @@ def test_pipeline_pool_stays_near_the_ball(monkeypatch):
 # the work of a fixed membership batch: 400 certificates of Delta elements
 # on the D0 r6 ball and one density pipeline.  The ceilings are the counts
 # of maps evaluated where a certificate reads them, and of one check of the
-# pipeline's input map; tabulating every element over the ball (92,840
-# acts) or checking the map again in the greedy and extension steps (716
-# neighbor lists, 6 validations) exceeds them
+# pipeline's input map, and of one evaluation of the extension's input
+# component; tabulating every element over the ball (92,840 acts),
+# checking the map again in the greedy and extension steps (716 neighbor
+# lists, 6 validations) or evaluating that component again in the
+# extension's walk (161,525 word actions) exceeds them
 ACT_CEILING = 66_834
 NEIGHBORS_CEILING = 262
 VALIDATE_CEILING = 2
+ACT_WORD_CEILING = 161_271
 
 
 def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
@@ -713,7 +716,7 @@ def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
     words = W.enumerate_words(d0, 3, [1, 2, 3])[:200]
     phi = rotating_star(d0)
     calls = count_calls(monkeypatch, (T, "act"), (T, "neighbors"),
-                        (T, "validate_address"))
+                        (T, "validate_address"), (T, "act_word"))
     for i in (1, 2):
         for w in words:
             h = E.TreeMap.from_element(t, (d0.ident0, w))
@@ -723,6 +726,7 @@ def test_membership_work_counts(d0, ball_d0_6, monkeypatch):
     assert calls["act"] <= ACT_CEILING, calls
     assert calls["neighbors"] <= NEIGHBORS_CEILING, calls
     assert calls["validate_address"] <= VALIDATE_CEILING, calls
+    assert calls["act_word"] <= ACT_WORD_CEILING, calls
 
 
 def test_element_map_memory_is_bounded_by_its_ball(d2, ball_d2_4):

@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (bfs_component_geodesic, component, horoball_oracle,
-                      horosphere, level_increasing_ray, uniform_piece)
+from conftest import (bfs_component_geodesic, component, flood_oracle,
+                      horoball_oracle, horosphere, level_increasing_ray,
+                      uniform_piece)
 from nagaotree import datum as D
 from nagaotree import horo as H
 from nagaotree import tree as T
@@ -116,8 +117,9 @@ def test_horoballs_partition_each_level(d0):
 
 def test_component_graph_cycle_raises_under_python_O():
     # the cycle check must survive `python -O`, which strips asserts; the
-    # faulty tree is a copy of a ball with one extra edge joining two
-    # level-1 vertices of adjacent components on a shared horosphere
+    # faulty tree is a copy of a ball in which the later of two level-1
+    # vertices of adjacent components on a shared horosphere names the
+    # earlier one as its BFS parent, joining the two components
     code = textwrap.dedent("""
         from nagaotree import datum as D, horo as H, tree as T
         from nagaotree.errors import NagaoError
@@ -128,10 +130,9 @@ def test_component_graph_cycle_raises_under_python_O():
         g = H.component_graph(t, 1)
         a = g.node_keys()[0]
         xa, xb = g.witness(a, g.edges[a][0])
-        ia, ib = t.vid(xa), t.vid(xb)
+        ia, ib = sorted((t.vid(xa), t.vid(xb)))
         adj = [list(nbrs) for nbrs in t.adj]
-        adj[ia].append(ib)
-        adj[ib].append(ia)
+        adj[ib][0] = ia
         bad = T.TruncatedTree(datum=d, center=t.center, radius=t.radius,
                               verts=t.verts, index=t.index, dist=t.dist,
                               adj=adj)
@@ -139,7 +140,7 @@ def test_component_graph_cycle_raises_under_python_O():
             H.component_graph(bad, 1)
         except NagaoError as exc:
             print(type(exc).__name__)
-        if ib in t.adj[ia]:
+        if t.adj[ib][0] == ia:
             raise SystemExit("the cached ball was mutated")
     """)
     src = str(Path(H.__file__).resolve().parents[1])
@@ -150,13 +151,36 @@ def test_component_graph_cycle_raises_under_python_O():
     assert proc.stdout.strip() == "NagaoError"
 
 
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3"])
+def test_level_cut_pieces_are_floods(name, request):
+    # the one pass over BFS parents finds the pieces a flood over the
+    # adjacency finds, in order of least id, in balls about the base vertex
+    # and about x_2
+    d = request.getfixturevalue(name.lower())
+    balls = [T.ball(d, T.base_vertex(), r) for r in range(6)]
+    balls.append(T.ball(d, T.ray_vertex(2), 4))
+    for t in balls:
+        for i in (1, 2, 3):
+            for above in (True, False):
+                keep = ((lambda u: t.level(u) >= i) if above
+                        else (lambda u: t.level(u) <= i))
+                pieces, piece_of = H.level_cut(t, i, above)
+                assert sorted(piece_of) == [v for v in range(t.n) if keep(v)]
+                assert [p.vertex_ids[0] for p in pieces] == sorted(
+                    p.vertex_ids[0] for p in pieces)
+                for p in pieces:
+                    assert p.vertex_ids == flood_oracle(t, p.vertex_ids[0],
+                                                        keep)
+                    assert all(piece_of[v] is p for v in p.vertex_ids)
+
+
 def test_component_of_base_is_uniform_piece(d0):
     t = T.ball(d0, T.base_vertex(), 4)
     comp = component(t, T.base_vertex(), 1)
     up = uniform_piece(d0, 1, 4)
     assert comp.vertex_ids == up.vertex_ids
-    assert comp.vertex_ids == T.flood(t, t.vid(T.base_vertex()),
-                                      lambda u: t.level(u) <= 1)
+    assert comp.vertex_ids == flood_oracle(t, t.vid(T.base_vertex()),
+                                           lambda u: t.level(u) <= 1)
     with pytest.raises(LevelTooHigh):
         component(t, T.ray_vertex(2), 1)
 
@@ -255,7 +279,7 @@ def test_geodesic_read_off_the_ball_matches_bfs(name, radius, i):
 
 
 def test_horoball_shared_by_its_horosphere(d3):
-    # one flood per horoball: every horosphere vertex gets the same object,
+    # one piece per horoball: every horosphere vertex gets the same object,
     # and its vertices are the flood from any of them
     t = T.ball(d3, T.base_vertex(), 5)
     for vid in range(t.n):
@@ -265,7 +289,8 @@ def test_horoball_shared_by_its_horosphere(d3):
         hb = H.horoball(t, t.verts[vid])
         for y in hb.horosphere_ids():
             assert H.horoball(t, t.verts[y]) is hb
-            assert hb.vertex_ids == T.flood(t, y, lambda u: t.level(u) >= lv)
+            assert hb.vertex_ids == flood_oracle(
+                t, y, lambda u: t.level(u) >= lv)
 
 
 def test_component_graph_nodes_keyed_by_min_address(d3):

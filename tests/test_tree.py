@@ -83,6 +83,16 @@ def test_edge_rows_in_order_without_sort(name):
     assert list(rows) == pairs
 
 
+@pytest.mark.parametrize("name", ["D0", "D1", "D2", "D3"])
+def test_interior_ids_are_the_inner_distances(name, request):
+    d = request.getfixturevalue(name.lower())
+    balls = [T.ball(d, T.base_vertex(), r) for r in range(6)]
+    balls.append(T.ball(d, T.ray_vertex(2), 4))
+    for t in balls:
+        assert list(t.interior_ids()) == [v for v in range(t.n)
+                                          if t.dist[v] < t.radius]
+
+
 def test_act_identity(d0):
     v = (W.generator(2, 3, 1), 2, 2)
     T.validate_address(d0, v)
